@@ -41,10 +41,9 @@ bool RunJoin(uint64_t writes, bool with_snapshots, JoinRow* out) {
       // Snapshot a handful of times per run, whatever the ledger length.
       cfg->snapshot_interval_txs = writes >= 2000 ? 500 : writes / 4;
       cfg->snapshot_retire_ledger = true;
-      cfg->join_from_snapshot = true;
     } else {
+      // No bundle ever exists, so the joiner gets no state.
       cfg->snapshot_interval_txs = 1u << 30;
-      cfg->join_from_snapshot = false;
     }
   });
   node::Node* n0 = h.StartGenesis();

@@ -1,6 +1,7 @@
 #include "host/live_client.h"
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -12,19 +13,9 @@
 #include "host/tcp.h"
 #include "host/ticker.h"
 #include "node/client.h"
+#include "node/wire.h"
 
 namespace ccf::host {
-
-namespace {
-constexpr uint8_t kSessionRecordKind = 1;
-
-Bytes WrapSession(ByteSpan record) {
-  Bytes out;
-  out.push_back(kSessionRecordKind);
-  Append(&out, record);
-  return out;
-}
-}  // namespace
 
 LiveClient::LiveClient(std::string client_id,
                        crypto::PublicKeyBytes service_identity,
@@ -85,7 +76,7 @@ Status LiveClient::Connect(const std::string& host, uint16_t port,
   session_ = std::make_unique<rpc::ClientSession>(service_identity_, key_,
                                                   cert_, &drbg_);
   parser_ = http::ResponseParser();
-  SendWire(WrapSession(session_->Start()));
+  SendWire(node::WrapWire(node::kSessionRecord, session_->Start()));
   while (!session_->established()) {
     uint64_t now = SteadyNowMs();
     if (now >= deadline) {
@@ -106,8 +97,10 @@ void LiveClient::SendWire(ByteSpan session_payload) {
 
 bool LiveClient::TryWrite() {
   while (out_off_ < outbuf_.size()) {
-    ssize_t n =
-        write(fd_, outbuf_.data() + out_off_, outbuf_.size() - out_off_);
+    // MSG_NOSIGNAL: a node that closed or reset the connection surfaces
+    // as EPIPE (a dead connection), not as a process-killing SIGPIPE.
+    ssize_t n = send(fd_, outbuf_.data() + out_off_,
+                     outbuf_.size() - out_off_, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
       if (errno == EINTR) continue;
@@ -132,20 +125,20 @@ void LiveClient::SendRequest(http::Request request, ResponseCallback callback) {
     return;
   }
   auto record = session_->Seal(wire);
-  if (record.ok()) SendWire(WrapSession(*record));
+  if (record.ok()) SendWire(node::WrapWire(node::kSessionRecord, *record));
 }
 
 void LiveClient::FlushQueue() {
   while (!queued_requests_.empty()) {
     auto record = session_->Seal(queued_requests_.front());
     queued_requests_.pop_front();
-    if (record.ok()) SendWire(WrapSession(*record));
+    if (record.ok()) SendWire(node::WrapWire(node::kSessionRecord, *record));
   }
 }
 
 bool LiveClient::HandleFrame(ByteSpan frame) {
   if (session_ == nullptr || frame.empty() ||
-      frame[0] != kSessionRecordKind) {
+      frame[0] != node::kSessionRecord) {
     return true;  // not a session record; ignore
   }
   auto out = session_->OnRecord(frame.subspan(1));

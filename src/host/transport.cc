@@ -1,6 +1,7 @@
 #include "host/transport.h"
 
 #include <sys/epoll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -380,8 +381,10 @@ void LiveTransport::EnqueueFrame(Conn* c, ByteSpan payload) {
 void LiveTransport::HandleWritable(Conn* c) {
   while (!c->outq.empty()) {
     const Bytes& front = c->outq.front();
-    ssize_t n =
-        write(c->fd, front.data() + c->out_off, front.size() - c->out_off);
+    // MSG_NOSIGNAL: a peer that reset the connection must cost only this
+    // connection (EPIPE below), never the process (SIGPIPE).
+    ssize_t n = send(c->fd, front.data() + c->out_off,
+                     front.size() - c->out_off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;

@@ -7,15 +7,6 @@
 
 namespace ccf::kv {
 
-crypto::Sha256Digest Snapshot::Digest() const {
-  BufWriter w;
-  w.Str("ccf.snapshot.v1");
-  w.U64(view);
-  w.U64(seqno);
-  w.Blob(data);
-  return crypto::Sha256::Hash(w.data());
-}
-
 Bytes SerializeState(const State& state) {
   // Sort map names for determinism.
   std::vector<std::string> names;
@@ -72,20 +63,6 @@ Result<State> DeserializeState(ByteSpan data) {
     return Status::InvalidArgument("snapshot: trailing bytes");
   }
   return state;
-}
-
-Snapshot TakeSnapshot(const Store& store, uint64_t view) {
-  Snapshot snap;
-  snap.seqno = store.committed_seqno();
-  snap.view = view;
-  snap.data = SerializeState(store.committed_state());
-  return snap;
-}
-
-Status InstallSnapshot(const Snapshot& snapshot, Store* store) {
-  ASSIGN_OR_RETURN(State state, DeserializeState(snapshot.data));
-  store->InstallState(std::move(state), snapshot.seqno);
-  return Status::Ok();
 }
 
 State FilterState(const State& state, bool public_only) {

@@ -1,37 +1,23 @@
-// Snapshot serialization (paper §4.4: "nodes can begin from a snapshot and
-// use the consensus layer to simply learn the transactions since").
+// State serialization for snapshots (paper §4.4: "nodes can begin from a
+// snapshot and use the consensus layer to simply learn the transactions
+// since"). The snapshot format itself is node::SnapshotBundle.
 //
 // The serialized form is deterministic (maps and keys sorted), so every
-// node producing a snapshot of the same version produces the same bytes,
-// and its digest can be committed to a public map as snapshot evidence,
+// node serializing the same state produces the same bytes, and a digest
+// over them can be committed to a public map as snapshot evidence,
 // making snapshots verifiable via receipts (paper §3.5).
 
 #ifndef CCF_KV_SNAPSHOT_H_
 #define CCF_KV_SNAPSHOT_H_
 
 #include "common/status.h"
-#include "crypto/sha256.h"
 #include "kv/store.h"
 
 namespace ccf::kv {
 
-struct Snapshot {
-  uint64_t seqno = 0;
-  uint64_t view = 0;
-  Bytes data;  // serialized State
-
-  crypto::Sha256Digest Digest() const;
-};
-
 // Serializes a store state deterministically.
 Bytes SerializeState(const State& state);
 Result<State> DeserializeState(ByteSpan data);
-
-// Captures the committed state of `store`.
-Snapshot TakeSnapshot(const Store& store, uint64_t view);
-
-// Installs a snapshot into `store` (replaces all state).
-Status InstallSnapshot(const Snapshot& snapshot, Store* store);
 
 // Splits a state by map visibility (writeset.h IsPublicMap): the returned
 // state holds only the public (or only the private) maps. Used by the

@@ -3,19 +3,9 @@
 #include "common/hex.h"
 #include "common/logging.h"
 #include "crypto/sha256.h"
+#include "node/wire.h"
 
 namespace ccf::node {
-
-namespace {
-constexpr uint8_t kSessionRecordKind = 1;
-
-Bytes WrapSession(ByteSpan record) {
-  Bytes out;
-  out.push_back(kSessionRecordKind);
-  Append(&out, record);
-  return out;
-}
-}  // namespace
 
 Client::Client(std::string client_id, sim::Environment* env,
                crypto::PublicKeyBytes service_identity,
@@ -47,7 +37,7 @@ void Client::Connect(const std::string& node_id) {
     cb(Status::Unavailable("session closed by reconnect"));
   }
   pending_.clear();
-  env_->Send(client_id_, node_id_, WrapSession(session_->Start()));
+  env_->Send(client_id_, node_id_, WrapWire(kSessionRecord, session_->Start()));
 }
 
 void Client::SendRequest(http::Request request, ResponseCallback callback) {
@@ -63,7 +53,7 @@ void Client::SendRequest(http::Request request, ResponseCallback callback) {
   }
   auto record = session_->Seal(wire);
   if (record.ok()) {
-    env_->Send(client_id_, node_id_, WrapSession(*record));
+    env_->Send(client_id_, node_id_, WrapWire(kSessionRecord, *record));
   }
 }
 
@@ -72,14 +62,14 @@ void Client::FlushQueue() {
     auto record = session_->Seal(queued_requests_.front());
     queued_requests_.pop_front();
     if (record.ok()) {
-      env_->Send(client_id_, node_id_, WrapSession(*record));
+      env_->Send(client_id_, node_id_, WrapWire(kSessionRecord, *record));
     }
   }
 }
 
 void Client::OnNetMessage(const std::string& from, ByteSpan data) {
   if (session_ == nullptr || from != node_id_ || data.empty() ||
-      data[0] != kSessionRecordKind) {
+      data[0] != kSessionRecord) {
     return;
   }
   auto out = session_->OnRecord(data.subspan(1));

@@ -47,11 +47,10 @@ struct NodeConfig {
   uint64_t signature_interval_txs = 100;
   uint64_t signature_interval_ms = 100;
   // Snapshots of committed state are produced every this many commits.
+  // A joiner bootstraps from the service's latest verified snapshot bundle
+  // plus the ledger suffix (paper §4.4); before the first bundle exists it
+  // replays the whole ledger from seqno 1 through consensus catch-up.
   uint64_t snapshot_interval_txs = 1000;
-  // Joiners ask the service for a verified snapshot bundle and bootstrap
-  // from it plus the ledger suffix (paper §4.4); off = full replay via
-  // consensus catch-up (the pre-snapshot baseline, kept for benchmarks).
-  bool join_from_snapshot = true;
   // After the host persists a verified snapshot at seqno S, retire ledger
   // chunks entirely below S (bounding host disk and memory). Off by
   // default: auditing and full-replay recovery need the whole ledger

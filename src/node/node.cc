@@ -10,6 +10,7 @@
 #include "gov/constitution.h"
 #include "kv/tables.h"
 #include "kv/writeset.h"
+#include "node/wire.h"
 #include "tee/attestation.h"
 #include "tee/messages.h"
 
@@ -19,20 +20,6 @@ namespace tables = kv::tables;
 
 namespace {
 
-// First byte of every simulation payload addressed to a node host.
-enum WireKind : uint8_t {
-  kSessionRecord = 1,
-  kNodeChannel = 2,
-};
-
-// Inner types on node-to-node channels.
-enum ChannelType : uint8_t {
-  kConsensus = 1,
-  kForwardRequest = 2,
-  kForwardResponse = 3,
-  kSnapshotCatchUp = 4,
-};
-
 // Ring-buffer message types live in tee/messages.h (shared with tests).
 using tee::kCloseSession;
 using tee::kInboundNet;
@@ -41,13 +28,6 @@ using tee::kLedgerFetchResponse;
 using tee::kOutboundNet;
 using tee::kSessionClosed;
 using tee::kSnapshotWrite;
-
-Bytes WrapWire(WireKind kind, ByteSpan payload) {
-  Bytes out;
-  out.push_back(static_cast<uint8_t>(kind));
-  Append(&out, payload);
-  return out;
-}
 
 crypto::Sha256Digest PublicAadDigest(ByteSpan public_ws) {
   return crypto::Sha256::Hash(public_ws);
@@ -1397,36 +1377,35 @@ void Node::MaybeEmitSignature(uint64_t now_ms) {
 void Node::MaybeSnapshot() {
   uint64_t commit = raft_->commit_seqno();
   if (commit < last_snapshot_seqno_ + config_.snapshot_interval_txs) return;
-  last_snapshot_seqno_ = commit;
-  latest_snapshot_ = kv::TakeSnapshot(store_, ViewAtSeqno(commit));
-  // Keep the matching tree leaves and configurations for joiners. ALL
-  // active configurations are captured: a snapshot taken inside a
-  // reconfiguration window has two, and a joiner seeded with only the
-  // first would run consensus against a stale membership.
-  snapshot_leaves_.clear();
-  for (uint64_t i = 0; i < commit; ++i) {
+  CaptureSnapshot();
+}
+
+void Node::CaptureSnapshot() {
+  last_snapshot_seqno_ = raft_->commit_seqno();
+  SnapshotCapture capture;
+  capture.state = store_.committed_state();
+  capture.seqno = store_.committed_seqno();
+  capture.view = ViewAtSeqno(capture.seqno);
+  capture.leaves.reserve(capture.seqno);
+  for (uint64_t i = 0; i < capture.seqno; ++i) {
     auto leaf = tree_.LeafAt(i);
-    if (leaf.ok()) snapshot_leaves_.push_back(*leaf);
+    if (leaf.ok()) capture.leaves.push_back(*leaf);
   }
-  snapshot_configs_ = raft_->active_configs();
-  snapshot_evidence_due_ = true;
+  // ALL active configurations: a snapshot taken inside a reconfiguration
+  // window has two, and a joiner seeded with only the first would run
+  // consensus against a stale membership.
+  capture.configs = raft_->active_configs();
+  snapshot_capture_ = std::move(capture);
   snapshot_metrics_.taken->Inc();
 }
 
 void Node::MaybeCommitSnapshotEvidence() {
-  if (!snapshot_evidence_due_ || !raft_->IsPrimary()) return;
-  if (!latest_snapshot_.has_value() || encryptor_ == nullptr) return;
-  snapshot_evidence_due_ = false;
-
-  auto state = kv::DeserializeState(latest_snapshot_->data);
-  if (!state.ok()) {
-    LOG_ERROR << config_.node_id << " snapshot state undecodable: "
-              << state.status().ToString();
-    return;
-  }
+  if (!snapshot_capture_.has_value() || !raft_->IsPrimary()) return;
+  if (encryptor_ == nullptr) return;
+  const SnapshotCapture& capture = *snapshot_capture_;
   SnapshotBundle bundle =
-      BuildBundle(*state, latest_snapshot_->seqno, latest_snapshot_->view,
-                  ledger_secret_, snapshot_leaves_, snapshot_configs_);
+      BuildBundle(capture.state, capture.seqno, capture.view, ledger_secret_,
+                  capture.leaves, capture.configs);
 
   kv::Tx tx = store_.BeginTx();
   tx.Handle(tables::kSnapshotEvidence)
@@ -1434,9 +1413,9 @@ void Node::MaybeCommitSnapshotEvidence() {
   auto committed = CommitAndReplicate(&tx, ledger::EntryType::kInternal);
   if (!committed.ok()) {
     // e.g. a concurrent write raced the tx; retry on the next tick.
-    snapshot_evidence_due_ = true;
     return;
   }
+  snapshot_capture_.reset();
   bundle.evidence_seqno = committed->seqno;
   auto entry = host_ledger_.Get(committed->seqno);
   if (!entry.ok()) {
@@ -1509,42 +1488,52 @@ void Node::HandleSnapshotCatchUp(const std::string& peer, ByteSpan body) {
   }
   if (bundle->seqno <= raft_->commit_seqno()) return;  // stale offer
   if (encryptor_ == nullptr) return;  // no ledger secret yet
-  // Untrusted until the evidence receipt verifies against the pinned
-  // service identity, exactly like a joiner's bundle (paper §4.4).
-  Status verified = VerifyBundle(
-      *bundle, ByteSpan(service_identity_.data(), service_identity_.size()));
-  if (!verified.ok()) {
+  uint64_t seqno = bundle->seqno;
+  Status installed = InstallBundle(bundle.take());
+  if (!installed.ok()) {
     LOG_WARN << config_.node_id << " rejecting catch-up snapshot from "
-             << peer << ": " << verified.ToString();
+             << peer << ": " << installed.ToString();
     return;
   }
-  auto state = RestoreState(*bundle, ledger_secret_);
-  if (!state.ok()) {
-    LOG_WARN << config_.node_id << " catch-up snapshot restore failed: "
-             << state.status().ToString();
-    return;
-  }
+  LOG_INFO << config_.node_id << " installed catch-up snapshot at " << seqno
+           << " from " << peer;
+}
 
-  // Re-base wholesale: the local suffix is an uncommitted prefix of what
-  // the bundle already covers. The Merkle tree rebuilds from the bundle's
-  // leaves (our own leaves are a prefix of them, so committed signed roots
-  // and receipts stay valid); the host ledger restarts at the bundle's
-  // base like a joiner's.
-  store_.InstallState(state.take(), bundle->seqno);
+Status Node::InstallBundle(SnapshotBundle bundle) {
+  // Everything in the bundle is untrusted until its evidence receipt
+  // verifies against the pinned service identity (paper §4.4).
+  RETURN_IF_ERROR(VerifyBundle(
+      bundle, ByteSpan(service_identity_.data(), service_identity_.size())));
+  ASSIGN_OR_RETURN(kv::State state, RestoreState(bundle, ledger_secret_));
+  ledger::Ledger rebased;
+  RETURN_IF_ERROR(rebased.SetBase(bundle.seqno));
+
+  // Re-base wholesale: raft drops the local log, committed or not. The
+  // Merkle tree rebuilds from the bundle's leaves; our committed leaves
+  // are a prefix of them, so committed signed roots stay valid. Signed
+  // roots past our commit point came from uncommitted entries that may
+  // have diverged from the bundle's history, so they go (as on rollback).
+  // The host ledger restarts at the bundle's seqno.
+  const uint64_t committed = raft_ != nullptr ? raft_->commit_seqno() : 0;
+  store_.InstallState(std::move(state), bundle.seqno);
   tree_.Truncate(0);
-  tree_.AppendLeafHashes(bundle->leaves);
+  tree_.AppendLeafHashes(bundle.leaves);
   tx_digests_.clear();
-  tx_digests_.resize(bundle->seqno);  // digests for old entries are unknown
-  pending_sig_verifies_.clear();  // all pending are below the bundle
-  host_ledger_ = ledger::Ledger();
-  Status based = host_ledger_.SetBase(bundle->seqno);
-  if (!based.ok()) {
-    LOG_ERROR << config_.node_id << " catch-up ledger re-base failed: "
-              << based.ToString();
+  tx_digests_.resize(bundle.seqno);  // digests for old entries are unknown
+  signed_roots_.erase(signed_roots_.upper_bound(committed),
+                      signed_roots_.end());
+  pending_sig_verifies_.clear();  // local entries past the base are dropped
+  host_ledger_ = std::move(rebased);
+  if (raft_ == nullptr) {
+    raft_ = std::make_unique<consensus::RaftNode>(consensus::RaftNode::Joiner(
+        config_.node_id, config_.raft, bundle.view, bundle.seqno,
+        bundle.configs, this));
+    raft_->BindMetrics(&metrics_);
+  } else {
+    raft_->InstallSnapshot(bundle.seqno, bundle.view, bundle.configs);
   }
-  raft_->InstallSnapshot(bundle->seqno, bundle->view, bundle->configs);
-  LOG_INFO << config_.node_id << " installed catch-up snapshot at "
-           << bundle->seqno << " from " << peer;
+  latest_bundle_ = std::move(bundle);
+  return Status::Ok();
 }
 
 void Node::HostStoreSnapshot(ByteSpan payload) {

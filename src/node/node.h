@@ -14,7 +14,9 @@
 //   - CreateGenesis: first node of a new service; creates the service
 //     identity and the genesis transaction.
 //   - CreateJoiner: attests to an existing service over STLS and receives
-//     the service secrets, a snapshot, and a node certificate (§4.4).
+//     the service secrets, a node certificate and, once the service has
+//     one, a verified snapshot bundle; the rest comes through consensus
+//     catch-up (§4.4).
 //   - CreateRecovery: disaster recovery from ledger files (§5.2): public
 //     state is restored immediately; private state after enough members
 //     submit their recovery shares.
@@ -35,7 +37,6 @@
 #include "gov/shares.h"
 #include "http/http.h"
 #include "kv/encryptor.h"
-#include "kv/snapshot.h"
 #include "kv/store.h"
 #include "ledger/ledger.h"
 #include "merkle/merkle.h"
@@ -377,6 +378,8 @@ class Node : public consensus::RaftCallbacks {
   // commit point.
   void VerifyCommittedSignatures(uint64_t commit_seqno);
   void MaybeSnapshot();
+  // Captures the committed state for the evidence pipeline below.
+  void CaptureSnapshot();
   // Primary-only snapshot evidence/persistence pipeline, driven from Tick
   // (never from inside OnCommit — committing there would re-enter raft):
   // commit the evidence transaction for a freshly captured snapshot, then
@@ -392,9 +395,16 @@ class Node : public consensus::RaftCallbacks {
   // persisted snapshot once every peer's match index has passed them, and
   // offers the bundle to laggards whose next entry fell below the base.
   void MaybeCompactRaftLog();
-  // Follower side of snapshot catch-up: verify the offered bundle against
-  // the service identity and re-base store/tree/ledger/raft onto it.
+  // Follower side of snapshot catch-up: install the offered bundle.
   void HandleSnapshotCatchUp(const std::string& peer, ByteSpan body);
+  // The one way a node takes state it did not execute (join and snapshot
+  // catch-up; recovery verifies in CreateRecoveryFromDir): VerifyBundle
+  // against the pinned service identity, then re-base store, Merkle tree,
+  // tx digests, host ledger and consensus onto the bundle. Nothing is
+  // installed unless verification and decoding succeed. The bundle is
+  // kept as latest_bundle_: consensus now starts at its seqno, so it is
+  // what this node serves to joiners and laggards if it becomes primary.
+  Status InstallBundle(SnapshotBundle bundle);
   std::optional<consensus::Configuration> DetectReconfiguration(
       const kv::WriteSet& writes, uint64_t seqno);
   std::set<std::string> TrustedNodesInState() const;
@@ -530,10 +540,17 @@ class Node : public consensus::RaftCallbacks {
   // bundle, commit its digest as evidence, wait until a receipt covers
   // the evidence, and hand the finished bundle to the host and joiners.
   uint64_t last_snapshot_seqno_ = 0;
-  std::optional<kv::Snapshot> latest_snapshot_;
-  std::vector<merkle::Digest> snapshot_leaves_;  // tree leaves at snapshot
-  std::vector<consensus::Configuration> snapshot_configs_;
-  bool snapshot_evidence_due_ = false;  // capture awaiting an evidence tx
+  // Everything BuildBundle needs, captured at a commit point and held
+  // until the evidence transaction commits. kv::State is a persistent
+  // CHAMP value, so capturing it is O(1).
+  struct SnapshotCapture {
+    kv::State state;
+    uint64_t seqno = 0;
+    uint64_t view = 0;
+    std::vector<merkle::Digest> leaves;  // tree leaves for [1, seqno]
+    std::vector<consensus::Configuration> configs;  // all active at seqno
+  };
+  std::optional<SnapshotCapture> snapshot_capture_;
   std::optional<SnapshotBundle> pending_bundle_;  // awaiting its receipt
   std::optional<SnapshotBundle> latest_bundle_;   // verified, receipted
   // Bundle a recovery node bootstrapped from (used by CompleteRecovery to

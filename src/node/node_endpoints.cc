@@ -11,6 +11,7 @@
 #include "gov/proposals.h"
 #include "kv/tables.h"
 #include "node/node.h"
+#include "node/wire.h"
 #include "rpc/openapi.h"
 #include "script/interp.h"
 #include "tee/attestation.h"
@@ -20,25 +21,6 @@ namespace ccf::node {
 namespace tables = kv::tables;
 
 namespace {
-
-enum WireKind : uint8_t {
-  kSessionRecord = 1,
-  kNodeChannel = 2,
-};
-
-enum ChannelType : uint8_t {
-  kConsensus = 1,
-  kForwardRequest = 2,
-  kForwardResponse = 3,
-  kSnapshotCatchUp = 4,  // handled in node.cc; listed to keep enums in sync
-};
-
-Bytes WrapWire(WireKind kind, ByteSpan payload) {
-  Bytes out;
-  out.push_back(static_cast<uint8_t>(kind));
-  Append(&out, payload);
-  return out;
-}
 
 // Verifies the detached governance request signature (COSE-Sign1 analogue):
 // x-ccf-signature header = hex signature over SHA-256 of the body, under
@@ -491,17 +473,9 @@ http::Response Node::ExecuteOnTx(const ResolvedEndpoint& re,
   if (re.is_scripted) {
     return ExecuteScriptedOnTx(re.scripted_spec, request, caller, tx);
   }
-  // Handlers read query params via EndpointContext::Param, which checks
-  // the query string first; the legacy x-query-* headers are still
-  // stashed so pre-query-string handlers and clients keep working.
-  http::ParsedTarget target = http::ParseTarget(request.path);
-  http::Request annotated = request;
-  for (const auto& [k, v] : target.params) {
-    annotated.headers["x-query-" + k] = v;
-  }
-  rpc::EndpointContext qctx(tx, &annotated, caller);
-  re.spec->handler(&qctx);
-  return std::move(qctx.response());
+  rpc::EndpointContext ctx(tx, &request, caller);
+  re.spec->handler(&ctx);
+  return std::move(ctx.response());
 }
 
 http::Response Node::ExecuteScriptedOnTx(const json::Value& spec,
@@ -1113,11 +1087,11 @@ void Node::HandleJoinRequest(rpc::EndpointContext* ctx) {
   out["ledger_secret"] = HexEncode(ledger_secret_.key);
 
   // Certificates of the current consensus peers. A joiner whose snapshot
-  // predates (or, for the empty-snapshot baseline, omits) the nodes table
-  // cannot derive node-channel keys for them, yet the raft catch-up that
-  // would teach it those keys is itself delivered over node channels. The
-  // joiner verifies each certificate against the pinned service identity
-  // before trusting it.
+  // predates them (or that starts with no snapshot at all) cannot derive
+  // node-channel keys for them, yet the raft catch-up that would teach it
+  // those keys is itself delivered over node channels. The joiner
+  // verifies each certificate against the pinned service identity before
+  // trusting it.
   json::Object peer_certs;
   for (const consensus::Configuration& cfg : raft_->active_configs()) {
     for (const std::string& nid : cfg.nodes) {
@@ -1131,58 +1105,28 @@ void Node::HandleJoinRequest(rpc::EndpointContext* ctx) {
   }
   out["peer_certs"] = std::move(peer_certs);
 
-  // Snapshot of committed state (paper §4.4: "nodes can begin from a
-  // snapshot"). A joiner that asked for a verifiable bundle gets the
-  // latest receipted one and checks its evidence receipt against the
-  // pinned service identity before installing anything. Otherwise fall
-  // back to the inline snapshot, whose only protection is the attested
-  // STLS session; a joiner that declined snapshots outright (benchmark
-  // baseline) gets an empty one and replays the full log via catch-up.
-  bool want_snapshot = params->GetBool("want_snapshot");
-  if (want_snapshot && latest_bundle_.has_value()) {
+  // State transfer (paper §4.4: "nodes can begin from a snapshot and use
+  // the consensus layer to simply learn the transactions since"). The
+  // joiner checks the bundle's evidence receipt against the pinned service
+  // identity before installing anything. Without a bundle the joiner gets
+  // no state and replays the ledger from seqno 1 through catch-up,
+  // starting from ALL active configurations: inside a reconfiguration
+  // window there are two, and a joiner seeded with only the first would
+  // run consensus against a stale membership.
+  if (latest_bundle_.has_value()) {
     out["snapshot_bundle"] = HexEncode(latest_bundle_->Serialize());
-    ctx->SetJsonResponse(200, json::Value(std::move(out)));
-    return;
-  }
-  kv::Snapshot snap;
-  std::vector<merkle::Digest> leaves;
-  std::vector<consensus::Configuration> configs;
-  if (!want_snapshot) {
-    snap.data = kv::SerializeState(kv::State{});
-    configs = raft_->active_configs();
-  } else if (latest_snapshot_.has_value()) {
-    snap = *latest_snapshot_;
-    leaves = snapshot_leaves_;
-    configs = snapshot_configs_;
   } else {
-    snap = kv::TakeSnapshot(store_, ViewAtSeqno(store_.committed_seqno()));
-    for (uint64_t i = 0; i < snap.seqno; ++i) {
-      auto leaf = tree_.LeafAt(i);
-      if (leaf.ok()) leaves.push_back(*leaf);
+    json::Array config_json;
+    for (const consensus::Configuration& cfg : raft_->active_configs()) {
+      json::Object c;
+      c["seqno"] = cfg.seqno;
+      json::Array nodes;
+      for (const std::string& n : cfg.nodes) nodes.emplace_back(n);
+      c["nodes"] = std::move(nodes);
+      config_json.push_back(json::Value(std::move(c)));
     }
-    // ALL active configurations: inside a reconfiguration window there are
-    // two, and a joiner seeded with only the first would run consensus
-    // against a stale membership.
-    configs = raft_->active_configs();
+    out["configurations"] = std::move(config_json);
   }
-  out["snapshot_seqno"] = snap.seqno;
-  out["snapshot_view"] = snap.view;
-  out["snapshot_data"] = HexEncode(snap.data);
-  Bytes leaves_flat;
-  for (const merkle::Digest& d : leaves) {
-    Append(&leaves_flat, ByteSpan(d.data(), d.size()));
-  }
-  out["tree_leaves"] = HexEncode(leaves_flat);
-  json::Array config_json;
-  for (const consensus::Configuration& cfg : configs) {
-    json::Object c;
-    c["seqno"] = cfg.seqno;
-    json::Array nodes;
-    for (const std::string& n : cfg.nodes) nodes.emplace_back(n);
-    c["nodes"] = std::move(nodes);
-    config_json.push_back(json::Value(std::move(c)));
-  }
-  out["configurations"] = std::move(config_json);
   ctx->SetJsonResponse(200, json::Value(std::move(out)));
 }
 
@@ -1210,7 +1154,6 @@ void Node::HandleJoinResponseRecord(ByteSpan record) {
     json::Object body;
     body["node_id"] = config_.node_id;
     body["host"] = config_.host;
-    body["want_snapshot"] = config_.join_from_snapshot;
     body["quote"] = HexEncode(quote.Serialize());
     body["public_key"] = HexEncode(
         ByteSpan(node_key_.public_key().data(), crypto::kPublicKeySize));
@@ -1284,85 +1227,44 @@ Status Node::InstallJoinResponse(const json::Value& body) {
     }
   }
 
-  // Verified snapshot bundle (paper §4.4): everything in it is untrusted
-  // until the evidence receipt verifies against the pinned service
-  // identity. A forged or corrupt bundle is rejected here, before any
-  // state is installed.
   const json::Value* bundle_hex = body.Get("snapshot_bundle");
   if (bundle_hex != nullptr && bundle_hex->is_string()) {
     ASSIGN_OR_RETURN(Bytes bundle_bytes, HexDecode(bundle_hex->AsString()));
     ASSIGN_OR_RETURN(SnapshotBundle bundle,
                      SnapshotBundle::Deserialize(bundle_bytes));
-    RETURN_IF_ERROR(VerifyBundle(
-        bundle, ByteSpan(service_identity_.data(), service_identity_.size())));
-    ASSIGN_OR_RETURN(kv::State state, RestoreState(bundle, ledger_secret_));
-    store_.InstallState(std::move(state), bundle.seqno);
-    tx_digests_.clear();
-    tx_digests_.resize(bundle.seqno);  // digests for old entries are unknown
-    tree_.AppendLeafHashes(bundle.leaves);
-    RETURN_IF_ERROR(host_ledger_.SetBase(bundle.seqno));
-    raft_ = std::make_unique<consensus::RaftNode>(consensus::RaftNode::Joiner(
-        config_.node_id, config_.raft, bundle.view, bundle.seqno,
-        bundle.configs, this));
-    raft_->BindMetrics(&metrics_);
-    join_pending_ = false;
-    join_session_.reset();
+    uint64_t seqno = bundle.seqno;
+    RETURN_IF_ERROR(InstallBundle(std::move(bundle)));
     LOG_INFO << config_.node_id << " joined from verified snapshot at "
-             << bundle.seqno;
-    return Status::Ok();
-  }
-
-  // Install the inline (legacy) snapshot.
-  kv::Snapshot snap;
-  snap.seqno = static_cast<uint64_t>(body.GetInt("snapshot_seqno"));
-  snap.view = static_cast<uint64_t>(body.GetInt("snapshot_view"));
-  ASSIGN_OR_RETURN(snap.data, HexDecode(body.GetString("snapshot_data")));
-  RETURN_IF_ERROR(kv::InstallSnapshot(snap, &store_));
-
-  // Rebuild the Merkle tree from the provided leaves.
-  ASSIGN_OR_RETURN(Bytes leaves_flat, HexDecode(body.GetString("tree_leaves")));
-  if (leaves_flat.size() % crypto::kSha256DigestSize != 0 ||
-      leaves_flat.size() / crypto::kSha256DigestSize != snap.seqno) {
-    return Status::InvalidArgument("join: bad tree leaves");
-  }
-  tx_digests_.clear();
-  tx_digests_.resize(snap.seqno);  // digests for old entries are unknown
-  std::vector<merkle::Digest> leaves(snap.seqno);
-  for (uint64_t i = 0; i < snap.seqno; ++i) {
-    std::copy(leaves_flat.begin() + i * crypto::kSha256DigestSize,
-              leaves_flat.begin() + (i + 1) * crypto::kSha256DigestSize,
-              leaves[i].begin());
-  }
-  // Bulk-install the historical leaves; interior nodes go through the
-  // 4-way hashing kernel.
-  tree_.AppendLeafHashes(leaves);
-
-  std::vector<consensus::Configuration> configs;
-  const json::Value* config_json = body.Get("configurations");
-  if (config_json != nullptr && config_json->is_array()) {
-    for (const json::Value& c : config_json->AsArray()) {
-      consensus::Configuration cfg;
-      cfg.seqno = static_cast<uint64_t>(c.GetInt("seqno"));
-      const json::Value* nodes = c.Get("nodes");
-      if (nodes != nullptr && nodes->is_array()) {
-        for (const json::Value& n : nodes->AsArray()) {
-          if (n.is_string()) cfg.nodes.insert(n.AsString());
+             << seqno;
+  } else {
+    // No bundle yet: start empty and learn every transaction through
+    // consensus catch-up.
+    std::vector<consensus::Configuration> configs;
+    const json::Value* config_json = body.Get("configurations");
+    if (config_json != nullptr && config_json->is_array()) {
+      for (const json::Value& c : config_json->AsArray()) {
+        consensus::Configuration cfg;
+        cfg.seqno = static_cast<uint64_t>(c.GetInt("seqno"));
+        const json::Value* nodes = c.Get("nodes");
+        if (nodes != nullptr && nodes->is_array()) {
+          for (const json::Value& n : nodes->AsArray()) {
+            if (n.is_string()) cfg.nodes.insert(n.AsString());
+          }
         }
+        configs.push_back(std::move(cfg));
       }
-      configs.push_back(std::move(cfg));
     }
+    if (configs.empty()) {
+      return Status::InvalidArgument("join: no configurations");
+    }
+    raft_ = std::make_unique<consensus::RaftNode>(consensus::RaftNode::Joiner(
+        config_.node_id, config_.raft, /*base_view=*/0, /*base_seqno=*/0,
+        std::move(configs), this));
+    raft_->BindMetrics(&metrics_);
+    LOG_INFO << config_.node_id << " joined; replaying from seqno 1";
   }
-  if (configs.empty()) {
-    return Status::InvalidArgument("join: no configurations");
-  }
-
-  RETURN_IF_ERROR(host_ledger_.SetBase(snap.seqno));
-  raft_ = std::make_unique<consensus::RaftNode>(consensus::RaftNode::Joiner(
-      config_.node_id, config_.raft, snap.view, snap.seqno, configs, this));
-  raft_->BindMetrics(&metrics_);
   join_pending_ = false;
   join_session_.reset();
-  LOG_INFO << config_.node_id << " joined at snapshot " << snap.seqno;
   return Status::Ok();
 }
 
@@ -1532,6 +1434,11 @@ void Node::CompleteRecovery(kv::LedgerSecret secret) {
   recovery_pending_ = false;
   recovery_bundle_.reset();
   submitted_shares_.clear();
+  // A snapshot captured before this point lacks the private state and
+  // must never become a bundle. Capture the restored state now: the raft
+  // log starts at the restored ledger end, so until a bundle exists no
+  // node can join the recovered service.
+  CaptureSnapshot();
 
   // Re-key the recovery shares under the new consortium state.
   kv::Tx tx = store_.BeginTx();

@@ -10,6 +10,7 @@
 #include "crypto/gcm.h"
 #include "crypto/hmac.h"
 #include "json/json.h"
+#include "kv/snapshot.h"
 #include "kv/tables.h"
 #include "kv/writeset.h"
 
@@ -295,11 +296,6 @@ Status SaveRawBundleToDir(ByteSpan bundle, uint64_t seqno,
     return Status::Internal("snapshot: write failed for " + path);
   }
   return Status::Ok();
-}
-
-Status SaveBundleToDir(const SnapshotBundle& bundle, const std::string& dir) {
-  Bytes data = bundle.Serialize();
-  return SaveRawBundleToDir(data, bundle.seqno, dir);
 }
 
 Result<SnapshotBundle> LoadLatestBundleFromDir(const std::string& dir) {

@@ -36,7 +36,7 @@
 #include "consensus/types.h"
 #include "crypto/sha256.h"
 #include "kv/encryptor.h"
-#include "kv/snapshot.h"
+#include "kv/store.h"
 #include "ledger/ledger.h"
 #include "merkle/receipt.h"
 
@@ -117,7 +117,6 @@ Result<kv::State> RestoreState(const SnapshotBundle& bundle,
 // interprets the bundle, it just stores bytes.
 Status SaveRawBundleToDir(ByteSpan bundle, uint64_t seqno,
                           const std::string& dir);
-Status SaveBundleToDir(const SnapshotBundle& bundle, const std::string& dir);
 Result<SnapshotBundle> LoadLatestBundleFromDir(const std::string& dir);
 
 }  // namespace ccf::node

@@ -12,9 +12,7 @@ Result<json::Value> EndpointContext::Params() const {
 }
 
 std::string EndpointContext::Param(const std::string& name) const {
-  std::string value = request_->QueryParam(name);
-  if (value.empty()) value = request_->GetHeader("x-query-" + name);
-  return value;
+  return request_->QueryParam(name);
 }
 
 uint64_t EndpointContext::ParamU64(const std::string& name) const {

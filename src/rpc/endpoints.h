@@ -56,8 +56,7 @@ class EndpointContext {
   // Parses the request body as JSON (cached).
   Result<json::Value> Params() const;
 
-  // Query-string parameter `name` (percent-decoded), falling back to the
-  // legacy "x-query-<name>" header so old clients keep working.
+  // Query-string parameter `name` (percent-decoded; empty when absent).
   std::string Param(const std::string& name) const;
   // Same, parsed as a decimal u64 (0 when absent or malformed).
   uint64_t ParamU64(const std::string& name) const;

@@ -11,6 +11,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -73,6 +75,18 @@ class RawClient {
   void Close() {
     if (fd_ >= 0) close(fd_);
     fd_ = -1;
+  }
+
+  // Half-closes, then aborts with SO_LINGER 0 (an RST instead of a FIN
+  // handshake). The server socket is in CLOSE_WAIT when the RST lands, so
+  // it records EPIPE and its next plain write() raises SIGPIPE.
+  void ShutdownWriteThenReset() {
+    ::shutdown(fd_, SHUT_WR);
+    usleep(20000);  // let the FIN land: the server side enters CLOSE_WAIT
+    linger lg{1, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
+    Close();
+    usleep(20000);  // let the RST land
   }
 
   bool SendRaw(ByteSpan wire) {
@@ -343,6 +357,59 @@ TEST(LiveTransport, FullRingParksConnectionWithoutLoss) {
   for (int i = 0; i < kFrames; ++i) {
     EXPECT_EQ(delivered.At(i).second, "m" + std::to_string(i));  // in order
   }
+  t.Stop();
+}
+
+// Regression: a client that sends a request and resets the connection
+// before the response is written must cost only its own connection. A
+// plain write() of that response raises SIGPIPE, which kills the host.
+TEST(LiveTransport, PeerResetBeforeResponseKeepsServing) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool first_held = false;
+  bool first_reset = false;
+  LiveTransport* transport = nullptr;
+  TransportConfig cfg;
+  cfg.node_id = "n0";
+  LiveTransport t(
+      cfg,
+      [&](const std::string& from, ByteSpan data) {
+        if (from == "tcp:1") {
+          // Hold the IO thread until the client is gone, so the reply is
+          // written to a connection the peer has already reset.
+          std::unique_lock<std::mutex> lk(mu);
+          first_held = true;
+          cv.notify_all();
+          cv.wait_for(lk, std::chrono::seconds(5), [&] { return first_reset; });
+        }
+        transport->NetSend(from, ToBytes("re:" + ToString(data)));
+        return true;
+      },
+      [](const std::string&) { return true; });
+  transport = &t;
+  ASSERT_TRUE(t.Start().ok());
+
+  RawClient first;
+  ASSERT_TRUE(first.Connect(t.rpc_port()));
+  ASSERT_TRUE(first.SendFrame("request"));
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(5),
+                            [&] { return first_held; }));
+  }
+  first.ShutdownWriteThenReset();
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    first_reset = true;
+  }
+  cv.notify_all();
+
+  RawClient second;
+  ASSERT_TRUE(second.Connect(t.rpc_port()));
+  ASSERT_TRUE(second.SendFrame("ping"));
+  auto reply = second.ReadFrame();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(*reply, "re:ping");
   t.Stop();
 }
 

@@ -328,11 +328,12 @@ TEST(KvSnapshot, RoundTrip) {
     ASSERT_TRUE(store.CommitTx(&tx).ok());
   }
   ASSERT_TRUE(store.Compact(20).ok());
-  Snapshot snap = TakeSnapshot(store, /*view=*/2);
-  EXPECT_EQ(snap.seqno, 20u);
+  Bytes data = SerializeState(store.committed_state());
 
+  auto state = DeserializeState(data);
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
   Store fresh;
-  ASSERT_TRUE(InstallSnapshot(snap, &fresh).ok());
+  fresh.InstallState(state.take(), store.committed_seqno());
   EXPECT_EQ(fresh.current_seqno(), 20u);
   EXPECT_EQ(fresh.committed_seqno(), 20u);
   EXPECT_EQ(fresh.GetStr("public:m", "k7"), "v");
@@ -354,10 +355,8 @@ TEST(KvSnapshot, DeterministicAcrossReplicas) {
   }
   ASSERT_TRUE(a.Compact(15).ok());
   ASSERT_TRUE(b.Compact(15).ok());
-  Snapshot sa = TakeSnapshot(a, 1);
-  Snapshot sb = TakeSnapshot(b, 1);
-  EXPECT_EQ(sa.data, sb.data);
-  EXPECT_EQ(sa.Digest(), sb.Digest());
+  EXPECT_EQ(SerializeState(a.committed_state()),
+            SerializeState(b.committed_state()));
 }
 
 TEST(KvSnapshot, ConflictDetectionSurvivesInstall) {
@@ -369,8 +368,10 @@ TEST(KvSnapshot, ConflictDetectionSurvivesInstall) {
   ASSERT_TRUE(store.CommitTx(&tx).ok());
   ASSERT_TRUE(store.Compact(1).ok());
 
+  auto state = DeserializeState(SerializeState(store.committed_state()));
+  ASSERT_TRUE(state.ok());
   Store restored;
-  ASSERT_TRUE(InstallSnapshot(TakeSnapshot(store, 1), &restored).ok());
+  restored.InstallState(state.take(), 1);
 
   Tx a = restored.BeginTx();
   a.Handle("public:m")->GetStr("k");
@@ -388,10 +389,9 @@ TEST(KvSnapshot, CorruptDataRejected) {
   tx.Handle("public:m")->PutStr("k", "v");
   ASSERT_TRUE(store.CommitTx(&tx).ok());
   ASSERT_TRUE(store.Compact(1).ok());
-  Snapshot snap = TakeSnapshot(store, 1);
-  snap.data.pop_back();
-  Store fresh;
-  EXPECT_FALSE(InstallSnapshot(snap, &fresh).ok());
+  Bytes data = SerializeState(store.committed_state());
+  data.pop_back();
+  EXPECT_FALSE(DeserializeState(data).ok());
 }
 
 // ------------------------------------------------------------ Encryptor

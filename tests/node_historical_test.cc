@@ -310,36 +310,6 @@ TEST(ReceiptEdgeCases, SeqnoAheadOfLastSignedRootIs404) {
   }
 }
 
-// Legacy clients that pass x-query-* headers instead of URL query strings
-// keep working (the header is the fallback when the param is absent).
-TEST(QueryParams, HeaderFallbackStillWorks) {
-  ServiceHarness h;
-  h.AddUser("user0");
-  h.StartGenesis();
-  node::Client* client = h.UserClient("user0");
-  WriteLog(client, 42, "via header");
-
-  http::Request req;
-  req.method = "GET";
-  req.path = "/app/log";
-  req.headers["x-query-id"] = "42";
-  auto resp = client->Call(std::move(req));
-  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-  ASSERT_EQ(resp->status, 200) << ToString(resp->body);
-  auto body = json::Parse(ToString(resp->body));
-  ASSERT_TRUE(body.ok());
-  EXPECT_EQ(body->GetString("msg"), "via header");
-
-  // And when both are present, the URL query string wins.
-  http::Request both;
-  both.method = "GET";
-  both.path = "/app/log?id=42";
-  both.headers["x-query-id"] = "99999";
-  auto resp2 = client->Call(std::move(both));
-  ASSERT_TRUE(resp2.ok());
-  EXPECT_EQ(resp2->status, 200) << ToString(resp2->body);
-}
-
 TEST(HistoricalTelemetry, NodeEndpointExposesCounters) {
   ServiceHarness h;
   h.AddUser("user0");

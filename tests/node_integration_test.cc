@@ -309,6 +309,10 @@ TEST(MultiNodeService, JoinerStartsFromSnapshot) {
     ASSERT_TRUE(client->PostJson("/app/log", json::Value(std::move(msg))).ok());
   }
   ASSERT_TRUE(h.WaitForCommitEverywhere(n0->last_seqno()));
+  // Joiners take state only from a verified bundle; wait until the
+  // primary has one.
+  ASSERT_TRUE(h.env().RunUntil([&] { return n0->host_snapshot_seqno() > 0; },
+                               10000));
 
   node::Node* n1 = h.JoinAndTrust("n1");
   ASSERT_NE(n1, nullptr);

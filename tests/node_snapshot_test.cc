@@ -178,6 +178,65 @@ TEST(SnapshotJoin, JoinerBootstrapsFromVerifiedSnapshot) {
   EXPECT_EQ(n1->store().GetStr(apps::kPrivateMessagesMap, "7"), "m7");
 }
 
+// A node that joined from a bundle starts its consensus log at the bundle
+// seqno. Once elected, the bundle it verified and installed is the only
+// way it can hand state to a joiner (the entries below the log base are
+// gone), so it must keep that bundle and serve it.
+TEST(SnapshotJoin, ElectedBundleJoinerServesItsRetainedBundle) {
+  ServiceHarness h;
+  h.AddUser("user0");
+  node::Node* n0 = h.StartGenesis();
+  node::Node* n1 = h.JoinAndTrust("n1");  // before any bundle: replays
+  ASSERT_NE(n1, nullptr);
+  node::Client* client = h.UserClient("user0");
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_GT(WriteLog(client, "/app/log", i, "m" + std::to_string(i)), 0u);
+  }
+  ASSERT_TRUE(WaitForHostSnapshot(&h, n0));
+
+  // n2 never takes a snapshot of its own: the only bundle it can hold is
+  // the one it joined from.
+  h.SetConfigTweak(
+      [](node::NodeConfig* cfg) { cfg->snapshot_interval_txs = 1u << 30; });
+  node::Node* n2 = h.JoinAndTrust("n2");
+  ASSERT_NE(n2, nullptr);
+  const uint64_t bundle_seqno = n2->raft().base_seqno();
+  ASSERT_GE(bundle_seqno, n0->host_snapshot_seqno());
+  ASSERT_EQ(n2->raft().GetLogEntry(1), nullptr);
+
+  // Make n2 the only electable survivor: n1 misses a few commits, then
+  // the primary dies.
+  h.env().Isolate("n1", true);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_GT(WriteLog(client, "/app/log", 100 + i, "late"), 0u);
+  }
+  ASSERT_TRUE(h.env().RunUntil(
+      [&] { return n2->commit_seqno() >= n0->last_seqno(); }, 8000));
+  h.DropClients();
+  h.env().SetUp("n0", false);
+  h.env().Isolate("n1", false);
+  ASSERT_TRUE(h.env().RunUntil([&] { return n2->IsPrimary(); }, 8000));
+
+  // A new node joins through n2 and gets n2's retained bundle.
+  node::Node* n3 = h.Join("n3", nullptr, "n2");
+  ASSERT_TRUE(h.env().RunUntil([&] { return n3->has_joined(); }, 8000));
+  EXPECT_GE(n3->host_ledger().base_seqno(), bundle_seqno);
+  ASSERT_TRUE(h.TrustNode("n3", 8000, "n2"));
+
+  node::Client* via_n2 = h.UserClient("user0", "n2");
+  ASSERT_GT(WriteLog(via_n2, "/app/log", 200, "after-failover"), 0u);
+  ASSERT_TRUE(h.WaitForCommitEverywhere(n2->last_seqno()));
+  ASSERT_TRUE(h.env().RunUntil(
+      [&] {
+        return ServiceHarness::StateDigest(n3) ==
+               ServiceHarness::StateDigest(n2);
+      },
+      8000));
+  EXPECT_EQ(n3->store().GetStr(apps::kPrivateMessagesMap, "7"), "m7");
+  EXPECT_EQ(n3->store().GetStr(apps::kPrivateMessagesMap, "200"),
+            "after-failover");
+}
+
 // Satellite regression: a node that serves a join inside a reconfiguration
 // window must hand over ALL active configurations, not just the oldest --
 // otherwise the joiner's consensus starts blind to the incoming config.
@@ -393,6 +452,106 @@ TEST(SnapshotRecovery, RecoveryFromRetiredLedgerUsesVerifiedBundle) {
   EXPECT_EQ(r0->store().GetStr(apps::kPrivateMessagesMap, "3"), "pre-3");
   EXPECT_EQ(r0->store().GetStr(apps::kPrivateMessagesMap, "777"),
             "suffix-write");
+}
+
+// Writes `writes` log entries on a fresh one-node service, loses the node,
+// and recovers the service from its ledger on a new node r0 with the
+// members' shares, so r0 holds the private state again. r0 is added to the
+// harness, so clients and joins through "r0" pin the recovered identity.
+node::Node* RecoverService(ServiceHarness* h, int writes) {
+  h->AddUser("user0");
+  node::Node* n0 = h->StartGenesis();
+  node::Client* client = h->UserClient("user0");
+  for (int i = 0; i < writes; ++i) {
+    EXPECT_GT(WriteLog(client, "/app/log", i, "pre-" + std::to_string(i)),
+              0u);
+  }
+  EXPECT_TRUE(h->env().RunUntil(
+      [&] { return n0->commit_seqno() >= n0->last_seqno(); }, 8000));
+  ledger::Ledger surviving = n0->host_ledger();
+  h->DropClients();
+  h->env().SetUp("n0", false);
+
+  node::Node* r0 =
+      (h->nodes()["r0"] = node::Node::CreateRecovery(
+           FastNodeConfig("r0", 7), std::move(surviving), nullptr, &h->env()))
+          .get();
+  EXPECT_TRUE(h->env().RunUntil(
+      [&] {
+        return r0->IsPrimary() &&
+               r0->service_status() == gov::ServiceStatus::kRecovering;
+      },
+      8000));
+  auto& members = h->consortium().members;
+  bool recovered = false;
+  for (size_t i = 0; i < members.size() && !recovered; ++i) {
+    auto share = r0->ExtractRecoveryShare(members[i].id, members[i].key);
+    EXPECT_TRUE(share.ok()) << share.status().ToString();
+    if (!share.ok()) break;
+    node::Client mc("rec-member-" + members[i].id, &h->env(),
+                    r0->service_identity(), &members[i].key,
+                    members[i].cert);
+    mc.Connect("r0");
+    json::Object body;
+    body["share"] = HexEncode(*share);
+    auto resp = mc.PostJsonSigned("/gov/recovery_share",
+                                  json::Value(std::move(body)));
+    EXPECT_TRUE(resp.ok()) << resp.status().ToString();
+    if (!resp.ok()) break;
+    EXPECT_EQ(resp->status, 200) << ToString(resp->body);
+    auto parsed = json::Parse(ToString(resp->body));
+    EXPECT_TRUE(parsed.ok());
+    recovered = parsed.ok() && parsed->GetBool("recovered");
+  }
+  EXPECT_TRUE(recovered);
+  return r0;
+}
+
+// A recovered node snapshots at its first commits, while only the public
+// state is restored. That capture must not become the bundle it serves
+// once members restore the private state: a node joining the recovered
+// service must get the private state too.
+TEST(SnapshotRecovery, JoinerOfRecoveredServiceGetsPrivateState) {
+  ServiceHarness h;
+  node::Node* r0 = RecoverService(&h, 60);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  ASSERT_TRUE(h.env().RunUntil([&] { return r0->host_snapshot_seqno() > 0; },
+                               8000));
+
+  apps::LoggingApp app;
+  auto j1 = node::Node::CreateJoiner(FastNodeConfig("j1", 3),
+                                     r0->service_identity(), "r0", &app,
+                                     &h.env());
+  ASSERT_TRUE(h.env().RunUntil([&] { return j1->has_joined(); }, 8000));
+  EXPECT_GT(j1->host_ledger().base_seqno(), 0u);  // joined from the bundle
+  EXPECT_EQ(j1->store().GetStr(apps::kPrivateMessagesMap, "3"), "pre-3");
+}
+
+// The recovered consensus log starts at the restored ledger end, so a
+// joiner can only get the state below it from a bundle. With a restored
+// ledger shorter than snapshot_interval_txs, the recovered node must
+// still produce one at once rather than after that many new commits: a
+// quiet recovered service would otherwise never admit a node.
+TEST(SnapshotRecovery, ShortRecoveredServiceAdmitsJoinerWithoutNewWrites) {
+  ServiceHarness h;
+  node::Node* r0 = RecoverService(&h, 10);  // well under the interval of 50
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  ASSERT_LT(r0->commit_seqno(), FastNodeConfig("r0", 7).snapshot_interval_txs);
+
+  // Join at once, with no user writes to the recovered service. The joiner
+  // may arrive before the bundle exists; then it starts at seqno 0 and
+  // gets the bundle through snapshot catch-up once trusted.
+  node::Node* j1 = h.Join("j1", nullptr, "r0");
+  ASSERT_TRUE(h.env().RunUntil([&] { return j1->has_joined(); }, 8000));
+  ASSERT_TRUE(h.TrustNode("j1", 8000, "r0"));
+  ASSERT_TRUE(h.env().RunUntil(
+      [&] {
+        return j1->store().GetStr(apps::kPrivateMessagesMap, "9") == "pre-9";
+      },
+      8000));
+  EXPECT_GT(r0->host_snapshot_seqno(), 0u);
+  EXPECT_GE(j1->host_ledger().base_seqno(), r0->raft().base_seqno());
+  EXPECT_EQ(j1->store().GetStr(apps::kPrivateMessagesMap, "3"), "pre-3");
 }
 
 }  // namespace

@@ -128,24 +128,28 @@ class ServiceHarness {
     return joiner;
   }
 
-  node::Node* Join(const std::string& id, node::Application* app = nullptr) {
+  // Starts node `id` as a joiner of the service through node `target`.
+  node::Node* Join(const std::string& id, node::Application* app = nullptr,
+                   const std::string& target = "n0") {
     node::NodeConfig cfg =
         FastNodeConfig(id, std::hash<std::string>{}(id) % 1000);
     if (config_tweak_) config_tweak_(&cfg);
     auto n = node::Node::CreateJoiner(
-        cfg, nodes_["n0"]->service_identity(), "n0",
+        cfg, IdentityOf(target), target,
         app != nullptr ? app : &logging_app_, &env_);
     node::Node* ptr = n.get();
     nodes_[id] = std::move(n);
     return ptr;
   }
 
-  // Proposes transition_node_to_trusted and votes it through.
-  bool TrustNode(const std::string& id, uint64_t timeout_ms = 8000) {
+  // Proposes transition_node_to_trusted (through node `via`) and votes it
+  // through.
+  bool TrustNode(const std::string& id, uint64_t timeout_ms = 8000,
+                 const std::string& via = "n0") {
     json::Object args;
     args["node_id"] = id;
     auto outcome = RunProposal("transition_node_to_trusted",
-                               json::Value(std::move(args)), timeout_ms);
+                               json::Value(std::move(args)), timeout_ms, via);
     if (!outcome) return false;
     // Wait until the node participates and its reconfiguration has
     // committed everywhere: each live node prunes to a single active
@@ -169,10 +173,10 @@ class ServiceHarness {
         timeout_ms);
   }
 
-  // Submits {actions: [{name, args}]} and votes yes with a majority.
-  // Returns true if accepted.
+  // Submits {actions: [{name, args}]} to node `via` and votes yes with a
+  // majority. Returns true if accepted.
   bool RunProposal(const std::string& action, json::Value args,
-                   uint64_t timeout_ms = 8000) {
+                   uint64_t timeout_ms = 8000, const std::string& via = "n0") {
     json::Object act;
     act["name"] = action;
     act["args"] = std::move(args);
@@ -181,7 +185,7 @@ class ServiceHarness {
     json::Object body;
     body["proposal"] = std::move(proposal);
 
-    node::Client* m0 = MemberClient(0);
+    node::Client* m0 = MemberClient(0, via);
     auto resp = m0->PostJsonSigned("/gov/propose", json::Value(body),
                                    timeout_ms);
     if (!resp.ok() || resp->status != 200) return false;
@@ -197,7 +201,7 @@ class ServiceHarness {
       ballot["proposal_id"] = pid;
       ballot["ballot"] =
           "function vote(proposal, proposer_id) { return true; }";
-      auto vresp = MemberClient(i)->PostJsonSigned(
+      auto vresp = MemberClient(i, via)->PostJsonSigned(
           "/gov/vote", json::Value(std::move(ballot)), timeout_ms);
       if (!vresp.ok() || vresp->status != 200) return false;
       auto vparsed = json::Parse(ToString(vresp->body));
@@ -234,8 +238,7 @@ class ServiceHarness {
     if (it == clients_.end()) {
       TestUser* user = users_.at(user_id).get();
       auto client = std::make_unique<node::Client>(
-          key, &env_, nodes_.at("n0")->service_identity(), &user->key,
-          user->cert);
+          key, &env_, IdentityOf(node_id), &user->key, user->cert);
       client->Connect(node_id);
       it = clients_.emplace(key, std::move(client)).first;
     }
@@ -248,7 +251,7 @@ class ServiceHarness {
     auto it = clients_.find(key);
     if (it == clients_.end()) {
       auto client = std::make_unique<node::Client>(
-          key, &env_, nodes_.at("n0")->service_identity(), &m.key, m.cert);
+          key, &env_, IdentityOf(node_id), &m.key, m.cert);
       client->Connect(node_id);
       it = clients_.emplace(key, std::move(client)).first;
     }
@@ -259,8 +262,8 @@ class ServiceHarness {
     std::string key = "client-anon@" + node_id;
     auto it = clients_.find(key);
     if (it == clients_.end()) {
-      auto client = std::make_unique<node::Client>(
-          key, &env_, nodes_.at("n0")->service_identity());
+      auto client =
+          std::make_unique<node::Client>(key, &env_, IdentityOf(node_id));
       client->Connect(node_id);
       it = clients_.emplace(key, std::move(client)).first;
     }
@@ -321,6 +324,13 @@ class ServiceHarness {
   }
 
  private:
+  // The service identity node `id` pins (a recovered service has a new
+  // one); n0's for a node not created yet.
+  crypto::PublicKeyBytes IdentityOf(const std::string& id) {
+    node::Node* n = node(id);
+    return (n != nullptr ? n : nodes_.at("n0").get())->service_identity();
+  }
+
   sim::Environment env_;
   Consortium consortium_;
   std::function<void(node::NodeConfig*)> config_tweak_;
