@@ -391,10 +391,11 @@ Status RaftNode::Replicate(uint64_t seqno, std::shared_ptr<const Bytes> data,
   AppendToLog(std::move(entry), /*remote_origin=*/false);
   if (m_commit_latency_ != nullptr) submit_time_ms_[seqno] = now_ms_;
 
-  // Signature transactions flush eagerly (they gate commit latency);
-  // regular entries ride the next heartbeat or the ack-driven stream
-  // (each successful append_entries response immediately triggers the
-  // next batch), which bounds outbound traffic per tick.
+  // Signature transactions flush eagerly (they gate commit latency).
+  // Regular entries go out with the next message to each peer: a
+  // heartbeat, a signature flush, or the ack-driven stream (each
+  // successful append_entries response sends whatever was appended since
+  // the last send). Each entry is sent to each peer once.
   if (is_signature) {
     BroadcastAppendEntries(/*force=*/true);
   }
@@ -474,6 +475,8 @@ void RaftNode::SendAppendEntries(const NodeId& peer) {
     req.entries.push_back(EntryAt(s));
   }
   if (m_append_batch_ != nullptr) m_append_batch_->Record(req.entries.size());
+  // Assume delivery (see next_seqno_): a loss surfaces as a NACK later.
+  if (!req.entries.empty()) next_seqno_[peer] = end + 1;
   last_sent_ms_[peer] = now_ms_;
   cb_->Send(peer, Message{id_, req});
 }
@@ -658,10 +661,11 @@ void RaftNode::HandleAppendEntriesResp(const NodeId& from,
     needs_snapshot_.erase(from);
     uint64_t prev_match = match_seqno_[from];
     match_seqno_[from] = std::max(prev_match, resp.match_seqno);
-    next_seqno_[from] = match_seqno_[from] + 1;
+    // Only forward: entries past the match may still be in flight.
+    next_seqno_[from] = std::max(next_seqno_[from], match_seqno_[from] + 1);
     AdvanceCommitAsPrimary();
     if (last_seqno() >= next_seqno_[from]) {
-      SendAppendEntries(from);  // keep streaming to lagging peers
+      SendAppendEntries(from);  // stream what was appended since the last send
     }
   } else {
     // Back off using the responder's hint (paper §4.2: "utilizing the

@@ -254,7 +254,12 @@ class RaftNode {
   std::set<NodeId> learners_;
   std::set<NodeId> needs_snapshot_;  // primary-side laggard flags
 
-  // Primary state.
+  // Primary state. next_seqno_ is an optimistic send pointer: it moves past
+  // each batch when the batch is sent, not when it is acknowledged, so each
+  // entry goes to each peer once. A success only moves it forward (to at
+  // least match + 1); a NACK rewinds it to the backup's hint. A lost
+  // message needs no timer: the next one's prev_seqno runs past the
+  // backup's log, and the backup NACKs.
   std::map<NodeId, uint64_t> next_seqno_;
   std::map<NodeId, uint64_t> match_seqno_;
   std::map<NodeId, uint64_t> peer_commit_;

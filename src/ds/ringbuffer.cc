@@ -1,7 +1,10 @@
 #include "ds/ringbuffer.h"
 
+#include <sys/mman.h>
+
 #include <cassert>
 #include <cstring>
+#include <new>
 
 namespace ccf::ds {
 
@@ -14,9 +17,14 @@ size_t RoundUpPow2(size_t n) {
 }  // namespace
 
 RingBuffer::RingBuffer(size_t capacity)
-    : capacity_(RoundUpPow2(capacity)),
-      mask_(capacity_ - 1),
-      storage_(capacity_ / 8, 0) {}
+    : capacity_(RoundUpPow2(capacity)), mask_(capacity_ - 1) {
+  void* mem = mmap(nullptr, capacity_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mem == MAP_FAILED) throw std::bad_alloc();
+  storage_ = static_cast<uint64_t*>(mem);
+}
+
+RingBuffer::~RingBuffer() { munmap(storage_, capacity_); }
 
 bool RingBuffer::TryWrite(uint32_t type, ByteSpan payload) {
   assert(type < kPadType);

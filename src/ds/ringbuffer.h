@@ -18,7 +18,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "common/bytes.h"
 
@@ -28,6 +27,8 @@ class RingBuffer {
  public:
   // `capacity` is rounded up to a power of two, minimum 64 bytes.
   explicit RingBuffer(size_t capacity);
+
+  ~RingBuffer();
 
   RingBuffer(const RingBuffer&) = delete;
   RingBuffer& operator=(const RingBuffer&) = delete;
@@ -72,13 +73,14 @@ class RingBuffer {
         &storage_[(logical_offset & mask_) / 8]);
   }
   uint8_t* BytesAt(uint64_t logical_offset) {
-    return reinterpret_cast<uint8_t*>(storage_.data()) +
-           (logical_offset & mask_);
+    return reinterpret_cast<uint8_t*>(storage_) + (logical_offset & mask_);
   }
 
   size_t capacity_;
   uint64_t mask_;
-  std::vector<uint64_t> storage_;  // 8-aligned backing store, zeroed.
+  // Anonymous private mapping: zero-filled, page-aligned, and resident
+  // only where the ring has reached.
+  uint64_t* storage_;
   std::atomic<uint64_t> head_{0};  // next logical write offset
   std::atomic<uint64_t> tail_{0};  // next logical read offset
 };

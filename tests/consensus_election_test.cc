@@ -14,20 +14,6 @@ using consensus::Message;
 using consensus::RequestVoteReq;
 using consensus::RequestVoteResp;
 
-// Records outbound messages; everything else is a no-op.
-class RecordingCallbacks : public consensus::RaftCallbacks {
- public:
-  void OnAppend(const LogEntry&) override {}
-  void OnRollback(uint64_t) override {}
-  void OnCommit(uint64_t) override {}
-  void OnRoleChange(Role, uint64_t) override {}
-  void Send(const NodeId& to, const Message& msg) override {
-    sent.emplace_back(to, msg);
-  }
-
-  std::vector<std::pair<NodeId, Message>> sent;
-};
-
 LogEntry MakeEntry(uint64_t view, uint64_t seqno, bool sig) {
   LogEntry e;
   e.view = view;

@@ -177,6 +177,8 @@ TEST(RaftCluster3, PartitionedPrimaryStepsDownAndRejoins) {
   ASSERT_TRUE(cluster.env().RunUntil(
       [&] {
         return !old_primary->raft().IsPrimary() &&
+               new_primary->raft().commit_seqno() >=
+                   new_primary->raft().last_signature().seqno &&
                old_primary->raft().commit_seqno() ==
                    new_primary->raft().commit_seqno();
       },
@@ -547,6 +549,119 @@ TEST(RaftCompaction, LaggardBelowBaseNeedsSnapshotAndCatchesUpAfterInstall) {
       [&] { return primary->raft().peers_needing_snapshot().empty(); },
       5000));
   EXPECT_TRUE(cluster.CommittedPrefixesAgree());
+}
+
+// ------------------------------------------------ Pipelined replication
+
+// Appends `per_ms` user entries per simulated millisecond for `ms` ms (the
+// harness adds a signature every 5), keeping many entries in flight.
+void Stream(RaftCluster& cluster, RaftTestNode* primary, int ms,
+            int per_ms = 10) {
+  for (int t = 0; t < ms; ++t) {
+    for (int i = 0; i < per_ms; ++i) {
+      ASSERT_TRUE(primary->ReplicateUser("s" + std::to_string(i)).ok());
+    }
+    cluster.env().Step(1);
+  }
+}
+
+TEST(RaftPipeline, SendsEachEntryOncePerPeer) {
+  RaftCluster cluster(3);  // 1-3 ms FIFO links, no loss
+  RaftTestNode* primary = cluster.WaitForPrimary();
+  ASSERT_NE(primary, nullptr);
+  Stream(cluster, primary, 200);
+  ASSERT_TRUE(primary->ReplicateSignature().ok());
+  uint64_t appended = primary->raft().last_seqno();
+  ASSERT_TRUE(cluster.WaitForCommitEverywhere(appended));
+  ASSERT_EQ(cluster.GetPrimary(), primary);
+
+  size_t sent = 0;
+  size_t nacks = 0;
+  for (auto& [id, node] : cluster.nodes()) {
+    sent += node->entries_sent();
+    nacks += node->nacks_sent();
+  }
+  EXPECT_EQ(sent, 2 * appended);  // once to each of the two backups
+  EXPECT_EQ(nacks, 0u);
+  EXPECT_TRUE(cluster.AllInvariantsHold());
+}
+
+TEST(RaftPipeline, DroppedAppendEntriesRewindsAndCatchesUp) {
+  RaftCluster cluster(3);
+  RaftTestNode* primary = cluster.WaitForPrimary();
+  ASSERT_NE(primary, nullptr);
+  NodeId backup;
+  for (int i = 0; i < 3; ++i) {
+    if (RaftCluster::Name(i) != primary->id()) backup = RaftCluster::Name(i);
+  }
+  Stream(cluster, primary, 50);
+  primary->DropNextAppendEntriesTo(backup);
+  Stream(cluster, primary, 50);
+  ASSERT_TRUE(primary->ReplicateSignature().ok());
+  uint64_t appended = primary->raft().last_seqno();
+
+  // The next message after the gap NACKs, the primary rewinds to the
+  // backup's hint, every log converges on the primary's, and commit
+  // reaches the last entry everywhere.
+  ASSERT_TRUE(cluster.WaitForCommitEverywhere(appended));
+  EXPECT_GT(cluster.node(backup).nacks_sent(), 0u);
+  for (auto& [id, node] : cluster.nodes()) {
+    EXPECT_EQ(node->raft().last_seqno(), appended) << id;
+  }
+  EXPECT_TRUE(cluster.AllInvariantsHold());
+}
+
+TEST(RaftPipeline, StaleSuccessDoesNotRewind) {
+  RecordingCallbacks cb;
+  RaftConfig cfg = FastRaftConfig();
+  RaftNode primary("n0", cfg, {"n0", "n1", "n2"}, /*start_as_primary=*/false,
+                   &cb);
+  primary.ForceElectionTimeout();
+  primary.Tick(0);
+  consensus::RequestVoteResp vote;
+  vote.view = primary.view();
+  vote.granted = true;
+  primary.Receive(Message{"n1", vote}, 0);
+  ASSERT_TRUE(primary.IsPrimary());
+  cb.TakeAppendsTo("n1");  // the new view's first heartbeat
+  auto replicate = [&](int n) {  // n entries, the last a signature
+    for (int i = 1; i <= n; ++i) {
+      auto data = std::make_shared<const Bytes>(ToBytes("e"));
+      ASSERT_TRUE(
+          primary.Replicate(primary.last_seqno() + 1, data, i == n).ok());
+    }
+  };
+  auto ack = [&](uint64_t match) {
+    consensus::AppendEntriesResp resp;
+    resp.view = primary.view();
+    resp.success = true;
+    resp.match_seqno = match;
+    primary.Receive(Message{"n1", resp}, 0);
+  };
+
+  // Two batches go out back to back, the second without waiting for an
+  // acknowledgement of the first.
+  replicate(5);
+  replicate(5);
+  auto sent = cb.TakeAppendsTo("n1");
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(sent[0].prev_seqno, 0u);
+  EXPECT_EQ(sent[0].entries.size(), 5u);
+  EXPECT_EQ(sent[1].prev_seqno, 5u);
+  EXPECT_EQ(sent[1].entries.size(), 5u);
+
+  // The first batch's success, then a delayed duplicate with a lower
+  // match: entries 6..10 are still in flight, so neither re-sends them.
+  ack(5);
+  ack(3);
+  EXPECT_TRUE(cb.TakeAppendsTo("n1").empty());
+
+  // The next heartbeat picks up after the last entry sent.
+  primary.Tick(cfg.heartbeat_interval_ms);
+  sent = cb.TakeAppendsTo("n1");
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].prev_seqno, 10u);
+  EXPECT_TRUE(sent[0].entries.empty());
 }
 
 }  // namespace

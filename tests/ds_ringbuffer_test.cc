@@ -1,14 +1,42 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <fstream>
+#include <memory>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "crypto/hmac.h"
 #include "ds/ringbuffer.h"
 
 namespace ccf::ds {
 namespace {
+
+// Resident set size in bytes, from /proc/self/statm.
+size_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  size_t total_pages = 0;
+  size_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(RingBuffer, OnlyTouchedCapacityIsResident) {
+  // The enclave boundary's two 8 MB rings on each of three nodes, each
+  // carrying one small message: the untouched capacity must stay virtual.
+  constexpr size_t kRing = size_t{8} << 20;
+  size_t before = ResidentBytes();
+  std::vector<std::unique_ptr<RingBuffer>> rings;
+  Bytes payload(1024, 0xab);
+  for (int i = 0; i < 6; ++i) {
+    rings.push_back(std::make_unique<RingBuffer>(kRing));
+    ASSERT_TRUE(rings.back()->TryWrite(1, payload));
+  }
+  EXPECT_LT(ResidentBytes(), before + kRing);
+}
 
 TEST(RingBuffer, EmptyInitially) {
   RingBuffer rb(256);

@@ -9,6 +9,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "consensus/raft.h"
@@ -35,6 +36,32 @@ inline RaftConfig FastRaftConfig(uint64_t seed = 0) {
   cfg.seed = seed;
   return cfg;
 }
+
+// Records outbound messages; everything else is a no-op. For tests that
+// drive a lone RaftNode by hand.
+class RecordingCallbacks : public consensus::RaftCallbacks {
+ public:
+  void OnAppend(const LogEntry&) override {}
+  void OnRollback(uint64_t) override {}
+  void OnCommit(uint64_t) override {}
+  void OnRoleChange(Role, uint64_t) override {}
+  void Send(const NodeId& to, const Message& msg) override {
+    sent.emplace_back(to, msg);
+  }
+
+  // The append_entries sent to `to` since the last call; clears `sent`.
+  std::vector<consensus::AppendEntriesReq> TakeAppendsTo(const NodeId& to) {
+    std::vector<consensus::AppendEntriesReq> out;
+    for (const auto& [dest, msg] : sent) {
+      const auto* ae = std::get_if<consensus::AppendEntriesReq>(&msg.body);
+      if (dest == to && ae != nullptr) out.push_back(*ae);
+    }
+    sent.clear();
+    return out;
+  }
+
+  std::vector<std::pair<NodeId, Message>> sent;
+};
 
 // A consensus node in the simulation. Emits a signature transaction every
 // `signature_interval` entries and immediately upon becoming primary,
@@ -161,8 +188,26 @@ class RaftTestNode : public consensus::RaftCallbacks {
     if (role == Role::kPrimary) need_signature_ = true;
   }
   void Send(const NodeId& to, const Message& msg) override {
+    if (const auto* ae = std::get_if<consensus::AppendEntriesReq>(&msg.body)) {
+      if (!ae->entries.empty() && drop_next_append_to_ == to) {
+        drop_next_append_to_.clear();  // lost on the wire
+        return;
+      }
+      entries_sent_ += ae->entries.size();
+    } else if (const auto* r =
+                   std::get_if<consensus::AppendEntriesResp>(&msg.body)) {
+      if (!r->success) ++nacks_sent_;
+    }
     env_->Send(id_, to, msg.Serialize());
   }
+
+  // Loses the next non-empty append_entries this node sends to `to`.
+  void DropNextAppendEntriesTo(const NodeId& to) { drop_next_append_to_ = to; }
+  // Log entries carried by the append_entries this node sent (dropped
+  // ones excluded).
+  size_t entries_sent() const { return entries_sent_; }
+  // Failed append_entries responses this node sent.
+  size_t nacks_sent() const { return nacks_sent_; }
 
  private:
   NodeId id_;
@@ -171,6 +216,9 @@ class RaftTestNode : public consensus::RaftCallbacks {
   size_t signature_interval_ = 5;
   size_t entries_since_signature_ = 0;
   bool need_signature_ = false;
+  NodeId drop_next_append_to_;
+  size_t entries_sent_ = 0;
+  size_t nacks_sent_ = 0;
 
   std::map<uint64_t, std::pair<uint64_t, crypto::Sha256Digest>> committed_;
   uint64_t last_commit_recorded_ = 0;
