@@ -19,53 +19,33 @@ namespace {
 
 using namespace ccf;
 
-void BM_Sha256(benchmark::State& state) {
+// BM_Sha256 and BM_AesGcmSeal run the kernel the CPU probe dispatched
+// (printed at start-up); the *Portable rows pin the portable code, which
+// is what a CPU without SHA-NI / AES-NI + PCLMULQDQ runs.
+void Sha256Rows(benchmark::State& state, crypto::internal::Kernel kernel) {
   crypto::Drbg drbg("bench", 0);
   Bytes data = drbg.Generate(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::Sha256::Hash(data));
+    crypto::Sha256 h(kernel);
+    h.Update(data);
+    benchmark::DoNotOptimize(h.Finish());
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+void BM_Sha256(benchmark::State& state) {
+  Sha256Rows(state, crypto::internal::BestSha256Kernel());
+}
+void BM_Sha256Portable(benchmark::State& state) {
+  Sha256Rows(state, crypto::internal::Kernel::kPortable);
 }
 // The 1 MiB case exercises the multi-block compression fast path in
 // Sha256::Update (whole blocks hashed straight from the input span).
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536)->Arg(1 << 20);
+BENCHMARK(BM_Sha256Portable)->Arg(64)->Arg(1024)->Arg(65536)->Arg(1 << 20);
 
-// 4 equal-length messages through the interleaved kernel vs 4 scalar
-// hashes — the ablation for MerkleTree::AppendBatch's inner loop.
-void BM_Sha256x4(benchmark::State& state) {
-  crypto::Drbg drbg("bench", 0);
-  Bytes data[4];
-  const uint8_t* ptrs[4];
-  for (int i = 0; i < 4; ++i) {
-    data[i] = drbg.Generate(state.range(0));
-    ptrs[i] = data[i].data();
-  }
-  crypto::Sha256Digest out[4];
-  for (auto _ : state) {
-    crypto::Sha256x4(ptrs, state.range(0), out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0) * 4);
-}
-BENCHMARK(BM_Sha256x4)->Arg(64)->Arg(1024)->Arg(65536);
-
-void BM_Sha256x4Scalar(benchmark::State& state) {
-  crypto::Drbg drbg("bench", 0);
-  Bytes data[4];
-  for (int i = 0; i < 4; ++i) data[i] = drbg.Generate(state.range(0));
-  crypto::Sha256Digest out[4];
-  for (auto _ : state) {
-    for (int i = 0; i < 4; ++i) out[i] = crypto::Sha256::Hash(data[i]);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0) * 4);
-}
-BENCHMARK(BM_Sha256x4Scalar)->Arg(64)->Arg(1024)->Arg(65536);
-
-void BM_AesGcmSeal(benchmark::State& state) {
+void AesGcmSealRows(benchmark::State& state, crypto::internal::Kernel kernel) {
   crypto::Drbg drbg("bench", 1);
-  crypto::AesGcm gcm(drbg.Generate(32));
+  crypto::AesGcm gcm(drbg.Generate(32), kernel);
   Bytes iv = drbg.Generate(12);
   Bytes data = drbg.Generate(state.range(0));
   for (auto _ : state) {
@@ -73,7 +53,14 @@ void BM_AesGcmSeal(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
+void BM_AesGcmSeal(benchmark::State& state) {
+  AesGcmSealRows(state, crypto::internal::BestAesKernel());
+}
+void BM_AesGcmSealPortable(benchmark::State& state) {
+  AesGcmSealRows(state, crypto::internal::Kernel::kPortable);
+}
 BENCHMARK(BM_AesGcmSeal)->Arg(64)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_AesGcmSealPortable)->Arg(64)->Arg(1024)->Arg(65536);
 
 void BM_SchnorrSign(benchmark::State& state) {
   crypto::KeyPair kp = crypto::KeyPair::FromSeed(ToBytes("bench"));
@@ -116,22 +103,7 @@ void BM_MerkleAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_MerkleAppend);
 
-// Batched vs serial replay of a raft append batch / ledger segment.
-void BM_MerkleAppendBatch(benchmark::State& state) {
-  const size_t n = state.range(0);
-  std::vector<Bytes> leaves;
-  for (size_t i = 0; i < n; ++i) {
-    leaves.push_back(ToBytes("transaction leaf content 0123456789"));
-  }
-  for (auto _ : state) {
-    merkle::MerkleTree tree;
-    tree.AppendBatch(leaves);
-    benchmark::DoNotOptimize(tree.Root());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_MerkleAppendBatch)->Arg(64)->Arg(1024)->Arg(16384);
-
+// Replay of a raft append batch / ledger segment.
 void BM_MerkleAppendSerial(benchmark::State& state) {
   const size_t n = state.range(0);
   Bytes leaf = ToBytes("transaction leaf content 0123456789");
@@ -216,46 +188,29 @@ void BM_MerkleProof(benchmark::State& state) {
 }
 BENCHMARK(BM_MerkleProof)->Arg(1000)->Arg(100000);
 
-// Run before any timing: the batch kernels must (a) be bit-equivalent to
-// their scalar counterparts and (b) actually engage (stats counters move).
-// A silent fallback to the scalar path would make the ablation numbers
-// meaningless.
-bool AssertBatchKernelsEngage() {
+// Run before any timing: the dispatched hash and cipher kernels must match
+// the portable code, and VerifyBatch must engage and catch a forgery, or
+// the ablation numbers would be meaningless.
+bool SelfTest() {
   crypto::Drbg drbg("bench-selftest", 0);
+  using crypto::internal::Kernel;
 
-  // Sha256x4 == 4 independent Sha256.
-  for (size_t len : {0u, 1u, 55u, 56u, 64u, 300u}) {
-    Bytes data[4];
-    const uint8_t* ptrs[4];
-    for (int i = 0; i < 4; ++i) {
-      data[i] = drbg.Generate(len);
-      ptrs[i] = data[i].data();
+  for (size_t len : {0u, 1u, 55u, 56u, 64u, 300u, 4099u}) {
+    Bytes data = drbg.Generate(len);
+    crypto::Sha256 portable(Kernel::kPortable);
+    portable.Update(data);
+    if (crypto::Sha256::Hash(data) != portable.Finish()) {
+      std::fprintf(stderr, "selftest: Sha256 kernel mismatch at len %zu\n",
+                   len);
+      return false;
     }
-    crypto::Sha256Digest out[4];
-    crypto::Sha256x4(ptrs, len, out);
-    for (int i = 0; i < 4; ++i) {
-      if (out[i] != crypto::Sha256::Hash(data[i])) {
-        std::fprintf(stderr, "selftest: Sha256x4 mismatch at len %zu\n", len);
-        return false;
-      }
+    Bytes key = drbg.Generate(32), iv = drbg.Generate(12);
+    if (crypto::AesGcm(key).Seal(iv, data, key) !=
+        crypto::AesGcm(key, Kernel::kPortable).Seal(iv, data, key)) {
+      std::fprintf(stderr, "selftest: AesGcm kernel mismatch at len %zu\n",
+                   len);
+      return false;
     }
-  }
-
-  // AppendBatch == serial Append, and the 4-way kernel engaged.
-  std::vector<Bytes> leaves;
-  for (int i = 0; i < 37; ++i) {
-    leaves.push_back(ToBytes("transaction leaf content 0123456789"));
-  }
-  merkle::MerkleTree batched, serial;
-  batched.AppendBatch(leaves);
-  for (const Bytes& l : leaves) serial.Append(l);
-  if (batched.Root() != serial.Root()) {
-    std::fprintf(stderr, "selftest: AppendBatch root mismatch\n");
-    return false;
-  }
-  if (batched.stats().x4_groups == 0) {
-    std::fprintf(stderr, "selftest: AppendBatch never used Sha256x4\n");
-    return false;
   }
 
   // VerifyBatch passes valid batches and flags a forgery.
@@ -279,7 +234,11 @@ bool AssertBatchKernelsEngage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!AssertBatchKernelsEngage()) return 1;
+  if (!SelfTest()) return 1;
+  std::printf("dispatched kernels: sha256=%s aes-gcm=%s\n",
+              crypto::internal::KernelName(
+                  crypto::internal::BestSha256Kernel()),
+              crypto::internal::KernelName(crypto::internal::BestAesKernel()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

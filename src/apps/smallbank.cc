@@ -167,8 +167,7 @@ void SmallBankApp::RegisterEndpoints(rpc::EndpointRegistry* registry,
         int64_t amount = p->GetInt("amount");
         kv::MapHandle* chk = ctx->tx().Handle(kSbCheckingMap);
         auto from_balance = ReadBalance(chk, from);
-        auto to_balance = ReadBalance(chk, to);
-        if (!from_balance.has_value() || !to_balance.has_value()) {
+        if (!from_balance.has_value() || !ReadBalance(chk, to).has_value()) {
           ctx->SetError(404, "no such account");
           return;
         }
@@ -177,7 +176,9 @@ void SmallBankApp::RegisterEndpoints(rpc::EndpointRegistry* registry,
           return;
         }
         WriteBalance(chk, from, *from_balance - amount);
-        WriteBalance(chk, to, *to_balance + amount);
+        // Read the payee after the payer's write: the tx sees its own
+        // writes, so paying oneself is a no-op rather than minting money.
+        WriteBalance(chk, to, *ReadBalance(chk, to) + amount);
         json::Object out;
         out["ok"] = true;
         out["from_balance"] = *from_balance - amount;
@@ -243,16 +244,17 @@ void SmallBankApp::RegisterEndpoints(rpc::EndpointRegistry* registry,
         kv::MapHandle* chk = ctx->tx().Handle(kSbCheckingMap);
         auto from_savings = ReadBalance(sav, from);
         auto from_checking = ReadBalance(chk, from);
-        auto to_checking = ReadBalance(chk, to);
         if (!from_savings.has_value() || !from_checking.has_value() ||
-            !to_checking.has_value()) {
+            !ReadBalance(chk, to).has_value()) {
           ctx->SetError(404, "no such account");
           return;
         }
         int64_t moved = *from_savings + *from_checking;
         WriteBalance(sav, from, 0);
         WriteBalance(chk, from, 0);
-        WriteBalance(chk, to, *to_checking + moved);
+        // As in send_payment, the destination is read after the source is
+        // emptied: amalgamate(a, a) moves a's savings into its checking.
+        WriteBalance(chk, to, *ReadBalance(chk, to) + moved);
         json::Object out;
         out["ok"] = true;
         out["moved"] = moved;

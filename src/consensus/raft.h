@@ -59,7 +59,7 @@ class RaftCallbacks {
   // A contiguous run of remote-originated entries was appended in one
   // AppendEntries message, delivered together after the last one is in the
   // log. Default: per-entry delivery. The node layer overrides this to
-  // batch the Merkle/ledger work (crypto::Sha256x4 via AppendBatch).
+  // batch the Merkle/ledger work.
   virtual void OnAppendBatch(const std::vector<const LogEntry*>& entries) {
     for (const LogEntry* entry : entries) OnAppend(*entry);
   }

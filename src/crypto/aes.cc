@@ -3,6 +3,10 @@
 #include <cassert>
 #include <cstring>
 
+#ifdef CCF_CRYPTO_X86_KERNELS
+#include <immintrin.h>
+#endif
+
 namespace ccf::crypto {
 
 namespace {
@@ -73,10 +77,26 @@ const SBoxes& GetSBoxes() {
   return s;
 }
 
+#ifdef CCF_CRYPTO_X86_KERNELS
+__attribute__((target("aes,sse4.1"))) void EncryptBlockAesNi(
+    const uint8_t* round_keys, const uint8_t in[16], uint8_t out[16]) {
+  const auto* rk = reinterpret_cast<const __m128i*>(round_keys);
+  __m128i b = _mm_xor_si128(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(in)),
+      _mm_loadu_si128(rk));
+  for (int round = 1; round < Aes256::kRounds; ++round) {
+    b = _mm_aesenc_si128(b, _mm_loadu_si128(rk + round));
+  }
+  b = _mm_aesenclast_si128(b, _mm_loadu_si128(rk + Aes256::kRounds));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), b);
+}
+#endif
+
 }  // namespace
 
-Aes256::Aes256(ByteSpan key) {
+Aes256::Aes256(ByteSpan key, internal::Kernel kernel) : kernel_(kernel) {
   assert(key.size() == kAes256KeySize);
+  assert(kernel == internal::Kernel::kPortable || internal::CpuHasAesNi());
   const SBoxes& sb = GetSBoxes();
 
   constexpr int kNk = 8;          // 256-bit key = 8 words.
@@ -115,6 +135,12 @@ Aes256::Aes256(ByteSpan key) {
 }
 
 void Aes256::EncryptBlock(const uint8_t in[16], uint8_t out[16]) const {
+#ifdef CCF_CRYPTO_X86_KERNELS
+  if (kernel_ == internal::Kernel::kHardware) {
+    EncryptBlockAesNi(round_keys_, in, out);
+    return;
+  }
+#endif
   // T-table implementation: each round is 16 table lookups and XORs.
   const SBoxes& sb = GetSBoxes();
   auto load_be = [](const uint8_t* p) {

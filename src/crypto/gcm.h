@@ -17,10 +17,14 @@ inline constexpr size_t kGcmIvSize = 12;
 inline constexpr size_t kGcmTagSize = 16;
 
 // AES-256-GCM with a fixed key. Thread-compatible (const methods only
-// after construction).
+// after construction). Runs on AES-NI + PCLMULQDQ when the CPU has them,
+// else on the portable T-table AES and 4-bit-table GHASH (crypto/cpu.h).
 class AesGcm {
  public:
-  explicit AesGcm(ByteSpan key);
+  explicit AesGcm(ByteSpan key) : AesGcm(key, internal::BestAesKernel()) {}
+  // Pins one kernel (differential tests, benchmarks). kHardware requires
+  // internal::CpuHasAesNi().
+  AesGcm(ByteSpan key, internal::Kernel kernel);
 
   // Encrypts `plaintext` with `iv` (12 bytes) and additional authenticated
   // data `aad`. Output is ciphertext || 16-byte tag.
@@ -28,6 +32,8 @@ class AesGcm {
 
   // Reverses Seal. Fails with CORRUPTION if the tag does not verify.
   Result<Bytes> Open(ByteSpan iv, ByteSpan sealed, ByteSpan aad) const;
+
+  internal::Kernel kernel() const { return aes_.kernel(); }
 
  private:
   void Ghash(ByteSpan aad, ByteSpan ciphertext, uint8_t out[16]) const;
@@ -39,10 +45,13 @@ class AesGcm {
   uint8_t h_[16];  // GHASH subkey: E(K, 0^128).
   // Shoup 4-bit tables for GHASH: ht_[j] = (j << 124-bit position) * H,
   // derived at key setup from the bit-serial multiply; r4_ reduces the 4
-  // bits shifted out by a *x^4 step.
-  uint64_t ht_hi_[16];
-  uint64_t ht_lo_[16];
-  uint64_t r4_[16];
+  // bits shifted out by a *x^4 step. Portable kernel only.
+  uint64_t ht_hi_[16] = {};
+  uint64_t ht_lo_[16] = {};
+  uint64_t r4_[16] = {};
+  // Hardware kernel only: H, H^2, H^3, H^4 byte-reflected, so the GHASH
+  // loop folds four blocks per reduction.
+  uint8_t h_pow_[4][16] = {};
 };
 
 }  // namespace ccf::crypto

@@ -1,6 +1,11 @@
 #include "crypto/sha256.h"
 
+#include <cassert>
 #include <cstring>
+
+#ifdef CCF_CRYPTO_X86_KERNELS
+#include <immintrin.h>
+#endif
 
 namespace ccf::crypto {
 
@@ -24,7 +29,66 @@ constexpr uint32_t kK[64] = {
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+#ifdef CCF_CRYPTO_X86_KERNELS
+// SHA-NI compression of `n` 64-byte blocks. The state lives in two
+// registers in the order SHA256RNDS2 wants (ABEF, CDGH); each 4-round group
+// adds the round constants to one 4-word schedule register, and the
+// schedule for group j+1 is finished (MSG2) and the one for j+3 started
+// (MSG1) while group j's rounds run.
+__attribute__((target("sha,sse4.1"))) void CompressBlocksShaNi(
+    uint32_t state[8], const uint8_t* data, size_t n) {
+  // Byte-swaps each 32-bit word: the message is big-endian.
+  const __m128i bswap32 =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; n > 0; --n, data += 64) {
+    const __m128i abef_in = abef, cdgh_in = cdgh;
+    __m128i m[4];
+    for (int j = 0; j < 4; ++j) {
+      m[j] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * j)),
+          bswap32);
+    }
+#pragma GCC unroll 16
+    for (int j = 0; j < 16; ++j) {
+      const __m128i wk = _mm_add_epi32(
+          m[j & 3], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * j)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      if (j >= 3 && j <= 14) {
+        __m128i next = _mm_add_epi32(
+            m[(j + 1) & 3], _mm_alignr_epi8(m[j & 3], m[(j - 1) & 3], 4));
+        m[(j + 1) & 3] = _mm_sha256msg2_epu32(next, m[j & 3]);
+      }
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+      if (j >= 1 && j <= 12) {
+        m[(j - 1) & 3] = _mm_sha256msg1_epu32(m[(j - 1) & 3], m[j & 3]);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+  hgfe = _mm_alignr_epi8(dchg, feba, 8);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), dcba);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), hgfe);
+}
+#endif
+
 }  // namespace
+
+Sha256::Sha256(internal::Kernel kernel) : kernel_(kernel) {
+  assert(kernel == internal::Kernel::kPortable || internal::CpuHasShaNi());
+  Reset();
+}
 
 void Sha256::Reset() {
   // FIPS 180-4 §5.3.3 initial hash value.
@@ -43,6 +107,12 @@ void Sha256::Reset() {
 void Sha256::Compress(const uint8_t* block) { CompressBlocks(block, 1); }
 
 void Sha256::CompressBlocks(const uint8_t* data, size_t n) {
+#ifdef CCF_CRYPTO_X86_KERNELS
+  if (kernel_ == internal::Kernel::kHardware) {
+    CompressBlocksShaNi(state_, data, n);
+    return;
+  }
+#endif
   // Hoist the chaining state into locals for the whole run so consecutive
   // blocks don't round-trip through memory.
   uint32_t s0 = state_[0], s1 = state_[1], s2 = state_[2], s3 = state_[3];
@@ -98,6 +168,9 @@ void Sha256::CompressBlocks(const uint8_t* data, size_t n) {
 }
 
 void Sha256::Update(ByteSpan data) {
+  // An empty span may have a null data(); memcpy from it is undefined
+  // even for zero bytes.
+  if (data.empty()) return;
   total_len_ += data.size();
   size_t off = 0;
   if (buf_len_ > 0) {

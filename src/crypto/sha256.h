@@ -10,16 +10,21 @@
 #include <cstdint>
 
 #include "common/bytes.h"
+#include "crypto/cpu.h"
 
 namespace ccf::crypto {
 
 inline constexpr size_t kSha256DigestSize = 32;
 using Sha256Digest = std::array<uint8_t, kSha256DigestSize>;
 
-// Incremental SHA-256 hasher.
+// Incremental SHA-256 hasher. Compression runs on the SHA-NI kernel when
+// the CPU has it, else on the portable one (crypto/cpu.h).
 class Sha256 {
  public:
-  Sha256() { Reset(); }
+  Sha256() : Sha256(internal::BestSha256Kernel()) {}
+  // Pins one kernel (differential tests, benchmarks). kHardware requires
+  // internal::CpuHasShaNi().
+  explicit Sha256(internal::Kernel kernel);
 
   void Reset();
   void Update(ByteSpan data);
@@ -31,6 +36,8 @@ class Sha256 {
     h.Update(data);
     return h.Finish();
   }
+
+  internal::Kernel kernel() const { return kernel_; }
 
  private:
   void Compress(const uint8_t* block);
@@ -44,14 +51,8 @@ class Sha256 {
   uint64_t total_len_ = 0;
   uint8_t buf_[64];
   size_t buf_len_ = 0;
+  internal::Kernel kernel_;
 };
-
-// 4-way interleaved multi-buffer SHA-256: hashes four equal-length messages
-// in one pass, running the four compression chains side by side so the
-// per-round dependency chains overlap (and the lane loops auto-vectorize to
-// 4x32-bit SIMD). This is the kernel behind MerkleTree::AppendBatch, where
-// leaves and interior nodes arrive in bulk with a fixed size.
-void Sha256x4(const uint8_t* const msgs[4], size_t len, Sha256Digest out[4]);
 
 inline Bytes DigestToBytes(const Sha256Digest& d) {
   return Bytes(d.begin(), d.end());

@@ -179,6 +179,9 @@ void Sha512::Compress(const uint8_t* block) {
 }
 
 void Sha512::Update(ByteSpan data) {
+  // An empty span may have a null data(); memcpy from it is undefined
+  // even for zero bytes.
+  if (data.empty()) return;
   total_len_ += data.size();
   size_t off = 0;
   if (buf_len_ > 0) {

@@ -102,91 +102,13 @@ void MerkleTree::AppendLeafHash(const Digest& leaf) {
 }
 
 void MerkleTree::AppendBatch(std::span<const Bytes> leaves) {
-  if (leaves.empty()) return;
-  std::vector<Digest> digests(leaves.size());
-
-  // Leaf hashing: groups of four equal-length contents go through the
-  // 4-way kernel. The leaf hash is SHA-256(0x00 || content), so the
-  // prefixed buffers are materialized in one scratch allocation; ledger
-  // transaction leaves are fixed-size, so in practice every full group of
-  // four qualifies.
-  std::vector<uint8_t> scratch;
-  size_t i = 0;
-  while (i + 4 <= leaves.size()) {
-    const size_t len = leaves[i].size();
-    if (leaves[i + 1].size() != len || leaves[i + 2].size() != len ||
-        leaves[i + 3].size() != len) {
-      digests[i] = LeafHash(leaves[i]);
-      ++stats_.leaf_hashes;
-      ++i;
-      continue;
-    }
-    scratch.resize(4 * (len + 1));
-    const uint8_t* ptrs[4];
-    for (int l = 0; l < 4; ++l) {
-      uint8_t* dst = scratch.data() + l * (len + 1);
-      dst[0] = 0x00;
-      std::copy(leaves[i + l].begin(), leaves[i + l].end(), dst + 1);
-      ptrs[l] = dst;
-    }
-    crypto::Sha256Digest out[4];
-    crypto::Sha256x4(ptrs, len + 1, out);
-    for (int l = 0; l < 4; ++l) digests[i + l] = out[l];
-    stats_.leaf_hashes += 4;
-    ++stats_.x4_groups;
-    i += 4;
-  }
-  for (; i < leaves.size(); ++i) {
-    digests[i] = LeafHash(leaves[i]);
-    ++stats_.leaf_hashes;
-  }
-
-  AppendLeafHashes(digests);
+  stats_.batched_leaves += leaves.size();
+  for (const Bytes& leaf : leaves) Append(leaf);
 }
 
 void MerkleTree::AppendLeafHashes(std::span<const Digest> leaves) {
-  if (leaves.empty()) return;
-  if (levels_.empty()) levels_.emplace_back();
   stats_.batched_leaves += leaves.size();
-  levels_[0].insert(levels_[0].end(), leaves.begin(), leaves.end());
-
-  // Rebuild the complete-subtree levels bottom-up. The incremental
-  // invariant is levels_[h+1].size() == levels_[h].size() / 2 for every h,
-  // so each level just extends its parent level to the new target; the new
-  // parents are hashed four at a time through the 4-way kernel.
-  for (size_t h = 0;; ++h) {
-    const size_t target = levels_[h].size() / 2;
-    if (h + 1 == levels_.size()) {
-      if (target == 0) break;
-      levels_.emplace_back();
-    }
-    const std::vector<Digest>& child = levels_[h];
-    std::vector<Digest>& parent = levels_[h + 1];
-    size_t j = parent.size();
-    if (j >= target) break;  // nothing new at this level => none above
-    uint8_t buf[4][65];
-    while (j + 4 <= target) {
-      const uint8_t* ptrs[4];
-      for (int l = 0; l < 4; ++l) {
-        buf[l][0] = 0x01;
-        std::copy(child[2 * (j + l)].begin(), child[2 * (j + l)].end(),
-                  buf[l] + 1);
-        std::copy(child[2 * (j + l) + 1].begin(), child[2 * (j + l) + 1].end(),
-                  buf[l] + 33);
-        ptrs[l] = buf[l];
-      }
-      crypto::Sha256Digest out[4];
-      crypto::Sha256x4(ptrs, 65, out);
-      parent.insert(parent.end(), out, out + 4);
-      stats_.interior_hashes += 4;
-      ++stats_.x4_groups;
-      j += 4;
-    }
-    for (; j < target; ++j) {
-      parent.push_back(InteriorHash(child[2 * j], child[2 * j + 1]));
-      ++stats_.interior_hashes;
-    }
-  }
+  for (const Digest& leaf : leaves) AppendLeafHash(leaf);
 }
 
 Digest MerkleTree::RangeHash(uint64_t lo, uint64_t hi) const {

@@ -56,13 +56,11 @@ class MerkleTree {
  public:
   MerkleTree() = default;
 
-  // Hash/append operation counters, for the per-node crypto op telemetry
-  // and for benches/tests asserting that the batch kernels engaged.
+  // Hash/append operation counters, for the per-node crypto op telemetry.
   struct Stats {
     uint64_t leaf_hashes = 0;      // leaf contents hashed (any path)
     uint64_t interior_hashes = 0;  // interior nodes computed (any path)
     uint64_t batched_leaves = 0;   // leaves that arrived via a batch call
-    uint64_t x4_groups = 0;        // Sha256x4 invocations (4 hashes each)
   };
 
   // Appends a transaction; `data` is the transaction's serialized leaf
@@ -70,12 +68,10 @@ class MerkleTree {
   void Append(ByteSpan data);
   // Appends a precomputed leaf digest.
   void AppendLeafHash(const Digest& leaf);
-  // Appends many leaf contents at once, pushing both the leaf hashes and
-  // the newly completed interior nodes through the 4-way SHA-256 kernel.
-  // Exactly equivalent to calling Append(l) for each element.
+  // Appends many leaf contents at once: exactly Append(l) for each
+  // element, counted in stats().batched_leaves.
   void AppendBatch(std::span<const Bytes> leaves);
-  // Bulk AppendLeafHash for precomputed digests (joiner catch-up); interior
-  // nodes are still batch-hashed.
+  // Bulk AppendLeafHash for precomputed digests (joiner catch-up).
   void AppendLeafHashes(std::span<const Digest> leaves);
 
   uint64_t size() const { return levels_.empty() ? 0 : levels_[0].size(); }

@@ -80,14 +80,6 @@ Result<AuditReport> AuditLedger(
   merkle::MerkleTree tree;
   std::optional<crypto::PublicKeyBytes> service;
 
-  // Batch mode: leaf contents accumulate here and flush through the 4-way
-  // hashing kernel, at the latest right before a root check needs them.
-  std::vector<Bytes> pending_leaves;
-  auto flush_leaves = [&] {
-    tree.AppendBatch(pending_leaves);
-    pending_leaves.clear();
-  };
-
   // Batch mode: root signatures accumulate here and flush through
   // VerifyBatch. The combiner DRBG is fixed-seeded: the audit is a
   // deterministic function of the ledger bytes.
@@ -152,7 +144,6 @@ Result<AuditReport> AuditLedger(
         return Status::Corruption("audit: signed root seqno mismatch at " +
                                   std::to_string(entry.seqno));
       }
-      if (options.batch) flush_leaves();
       ASSIGN_OR_RETURN(merkle::Digest covered, tree.RootAt(sr.seqno - 1));
       if (sr.root != covered) {
         return Status::Corruption(
@@ -187,13 +178,8 @@ Result<AuditReport> AuditLedger(
     }
 
     ApplyPublic(*ws, &state);
-    Bytes leaf = merkle::TransactionLeafContent(
-        entry.view, entry.seqno, entry.WriteSetDigest(), entry.claims_digest);
-    if (options.batch) {
-      pending_leaves.push_back(std::move(leaf));
-    } else {
-      tree.Append(leaf);
-    }
+    tree.Append(merkle::TransactionLeafContent(
+        entry.view, entry.seqno, entry.WriteSetDigest(), entry.claims_digest));
 
     if (!service.has_value()) {
       // Genesis entry: establish (or check) the service identity.
@@ -207,10 +193,7 @@ Result<AuditReport> AuditLedger(
           HexEncode(ByteSpan(id.data(), id.size()));
     }
   }
-  if (options.batch) {
-    flush_leaves();
-    RETURN_IF_ERROR(flush_sigs());
-  }
+  if (options.batch) RETURN_IF_ERROR(flush_sigs());
   return report;
 }
 

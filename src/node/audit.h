@@ -38,9 +38,8 @@ struct AuditReport {
 };
 
 struct AuditOptions {
-  // Use the batched kernels: MerkleTree::AppendBatch for leaf replay and
-  // crypto::VerifyBatch for root signatures. Off = the serial baseline
-  // (bench_ablation_crypto compares the two).
+  // Check root signatures with crypto::VerifyBatch. Off = one Verify per
+  // signature, the serial baseline (bench_ablation_crypto compares the two).
   bool batch = true;
   // Signatures accumulated before a VerifyBatch flush.
   size_t verify_batch_width = 32;

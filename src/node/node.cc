@@ -950,7 +950,7 @@ void Node::OnAppendBatch(
   }
   if (batch.empty()) return;
 
-  // Phase 2: append every Merkle leaf in one batched pass (4-way SHA-256).
+  // Phase 2: append every Merkle leaf before the apply pass checks roots.
   std::vector<Bytes> leaf_contents;
   leaf_contents.reserve(batch.size());
   for (const Decoded& d : batch) {

@@ -728,7 +728,6 @@ void Node::InstallFrameworkEndpoints() {
          out["merkle_leaf_hashes"] = ts.leaf_hashes;
          out["merkle_interior_hashes"] = ts.interior_hashes;
          out["merkle_batched_leaves"] = ts.batched_leaves;
-         out["merkle_x4_groups"] = ts.x4_groups;
          out["signs"] = ops.signs;
          out["signs_deferred"] = ops.signs_deferred;
          out["verifies_single"] = ops.verifies_single;
@@ -1323,7 +1322,7 @@ void Node::InitRecovery(ledger::Ledger restored,
     leaf_contents.push_back(merkle::TransactionLeafContent(
         entry.view, entry.seqno, digests.write_set, digests.claims));
   }
-  // Rebuild the whole tree in one batched pass (4-way SHA-256 kernel).
+  // Rebuild the whole tree from the replayed leaves.
   tree_.AppendBatch(leaf_contents);
   uint64_t base = host_ledger_.last_seqno();
   uint64_t base_view =

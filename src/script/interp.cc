@@ -10,6 +10,22 @@ Interpreter::Interpreter(InterpOptions options)
   InstallBuiltins();
 }
 
+Interpreter::~Interpreter() {
+  for (const std::weak_ptr<Environment>& scope : captured_) {
+    if (auto env = scope.lock()) env->Clear();
+  }
+}
+
+void Interpreter::NoteCaptured(const std::shared_ptr<Environment>& env) {
+  if (captured_.size() >= prune_captured_at_) {
+    std::erase_if(captured_, [](const std::weak_ptr<Environment>& scope) {
+      return scope.expired();
+    });
+    prune_captured_at_ = std::max<size_t>(64, 2 * captured_.size());
+  }
+  captured_.push_back(env);
+}
+
 void Interpreter::SetGlobal(const std::string& name, Value v) {
   globals_->Define(name, std::move(v));
 }
@@ -112,6 +128,7 @@ Result<Interpreter::Flow> Interpreter::ExecStmt(
       const auto* s = static_cast<const FunctionStmt*>(stmt);
       Closure closure{&s->decl, env, programs_.empty() ? nullptr
                                                        : programs_.back()};
+      NoteCaptured(env);
       env->Define(s->decl.name, Value(std::move(closure)));
       return Flow{};
     }
@@ -317,6 +334,7 @@ Result<Value> Interpreter::EvalExpr(const Expr* expr,
       const auto* e = static_cast<const FunctionExpr*>(expr);
       Closure closure{&e->decl, env,
                       programs_.empty() ? nullptr : programs_.back()};
+      NoteCaptured(env);
       return Value(std::move(closure));
     }
   }

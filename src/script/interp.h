@@ -35,6 +35,14 @@ class Environment {
     if (it != vars_.end()) return &it->second;
     return parent_ != nullptr ? parent_->Find(name) : nullptr;
   }
+  // Drops every binding and the parent link. A closure stored in the scope
+  // it captured is a shared_ptr cycle; the owning interpreter clears such
+  // scopes when it is destroyed to break it.
+  void Clear() {
+    std::map<std::string, Value> vars;
+    vars.swap(vars_);
+    parent_.reset();
+  }
 
  private:
   std::map<std::string, Value> vars_;
@@ -49,6 +57,12 @@ struct InterpOptions {
 class Interpreter {
  public:
   explicit Interpreter(InterpOptions options = {});
+  // Clears every scope a closure captured (Environment::Clear), so the
+  // closure/scope cycles and the programs they keep alive are freed.
+  // Closures that escaped stay safe to hold but see empty scopes.
+  ~Interpreter();
+  Interpreter(const Interpreter&) = delete;
+  Interpreter& operator=(const Interpreter&) = delete;
 
   // Installs a host value as a global (e.g. the kv bindings).
   void SetGlobal(const std::string& name, Value v);
@@ -90,6 +104,8 @@ class Interpreter {
                             std::vector<Value>& args, int line);
 
   void InstallBuiltins();
+  // Records a scope a new closure captures (for ~Interpreter).
+  void NoteCaptured(const std::shared_ptr<Environment>& env);
 
   Status Err(int line, const std::string& msg) const {
     return Status::InvalidArgument("ccl:" + std::to_string(line) + ": " + msg);
@@ -98,6 +114,10 @@ class Interpreter {
   InterpOptions options_;
   std::shared_ptr<Environment> globals_;
   std::vector<std::shared_ptr<const Program>> programs_;  // keepalive
+  // Scopes captured by closures. Expired entries are pruned whenever the
+  // list doubles, so it stays within twice the live captured scopes.
+  std::vector<std::weak_ptr<Environment>> captured_;
+  size_t prune_captured_at_ = 64;
   size_t steps_ = 0;
   size_t depth_ = 0;
 };

@@ -444,6 +444,40 @@ TEST_F(SmallBankTest, OperationsFollowSmallBankSemantics) {
   EXPECT_EQ(ErrorCodeOf(*missing), "ResourceNotFound");
 }
 
+// send_payment(a, a, x) and amalgamate(a, a) must not create money: the
+// destination is read after the source is written.
+TEST_F(SmallBankTest, SameAccountCallsConserveTotal) {
+  auto total = [&] {
+    int64_t sum = 0;
+    for (int account = 0; account < 4; ++account) sum += Balance(account);
+    return sum;
+  };
+  ASSERT_EQ(total(), 600);  // 4 accounts x (100 savings + 50 checking)
+
+  auto pay = c_->PostJson("/app/sb/send_payment",
+                          Obj({{"from", json::Value(1)},
+                               {"to", json::Value(1)},
+                               {"amount", json::Value(30)}}));
+  ASSERT_TRUE(pay.ok());
+  EXPECT_EQ(pay->status, 200) << ToString(pay->body);
+  EXPECT_EQ(Balance(1), 150);
+
+  auto am = c_->PostJson("/app/sb/amalgamate",
+                         Obj({{"from", json::Value(2)},
+                              {"to", json::Value(2)}}));
+  ASSERT_TRUE(am.ok());
+  EXPECT_EQ(am->status, 200) << ToString(am->body);
+  EXPECT_EQ(Balance(2), 150);  // savings moved into checking
+  // Savings are now empty: withdrawing from them is refused.
+  auto drained = c_->PostJson("/app/sb/transact_savings",
+                              Obj({{"account", json::Value(2)},
+                                   {"amount", json::Value(-1)}}));
+  ASSERT_TRUE(drained.ok());
+  EXPECT_EQ(drained->status, 409);
+
+  EXPECT_EQ(total(), 600);
+}
+
 TEST_F(SmallBankTest, SchemaRejectsNegativeDepositsBeforeExecution) {
   uint64_t seqno_before = n0_->last_seqno();
   // deposit_checking declares amount as uint64 (minimum 0): a negative

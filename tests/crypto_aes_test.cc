@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/hex.h"
 #include "crypto/aes.h"
 #include "crypto/gcm.h"
@@ -8,17 +11,29 @@
 namespace ccf::crypto {
 namespace {
 
+using internal::Kernel;
+
+// Every kernel this CPU can run: the known-answer vectors below hold for
+// the portable code and, where present, the AES-NI / PCLMULQDQ one.
+std::vector<Kernel> AesKernels() {
+  std::vector<Kernel> kernels = {Kernel::kPortable};
+  if (internal::CpuHasAesNi()) kernels.push_back(Kernel::kHardware);
+  return kernels;
+}
+
 // FIPS 197 Appendix C.3 known-answer vector for AES-256.
 TEST(Aes256, Fips197VectorEncrypt) {
   Bytes key = HexDecode(
       "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
       .take();
   Bytes pt = HexDecode("00112233445566778899aabbccddeeff").take();
-  Aes256 aes(key);
-  uint8_t ct[16];
-  aes.EncryptBlock(pt.data(), ct);
-  EXPECT_EQ(HexEncode(ByteSpan(ct, 16)),
-            "8ea2b7ca516745bfeafc49904b496089");
+  for (Kernel k : AesKernels()) {
+    Aes256 aes(key, k);
+    uint8_t ct[16];
+    aes.EncryptBlock(pt.data(), ct);
+    EXPECT_EQ(HexEncode(ByteSpan(ct, 16)), "8ea2b7ca516745bfeafc49904b496089")
+        << internal::KernelName(k);
+  }
 }
 
 TEST(Aes256, Fips197VectorDecrypt) {
@@ -59,9 +74,12 @@ TEST(Aes256, DifferentKeysDifferentCiphertext) {
 TEST(AesGcm, SpecCase13EmptyPlaintext) {
   Bytes key(32, 0);
   Bytes iv(12, 0);
-  AesGcm gcm(key);
-  Bytes sealed = gcm.Seal(iv, {}, {});
-  EXPECT_EQ(HexEncode(sealed), "530f8afbc74536b9a963b4f1c4cb738b");
+  for (Kernel k : AesKernels()) {
+    AesGcm gcm(key, k);
+    Bytes sealed = gcm.Seal(iv, {}, {});
+    EXPECT_EQ(HexEncode(sealed), "530f8afbc74536b9a963b4f1c4cb738b")
+        << internal::KernelName(k);
+  }
 }
 
 // GCM spec test case 14: one zero block of plaintext.
@@ -69,11 +87,62 @@ TEST(AesGcm, SpecCase14OneBlock) {
   Bytes key(32, 0);
   Bytes iv(12, 0);
   Bytes pt(16, 0);
-  AesGcm gcm(key);
-  Bytes sealed = gcm.Seal(iv, pt, {});
-  EXPECT_EQ(HexEncode(sealed),
-            "cea7403d4d606b6e074ec5d3baf39d18"
-            "d0d1c8a799996bf0265b98b5d48ab919");
+  for (Kernel k : AesKernels()) {
+    AesGcm gcm(key, k);
+    Bytes sealed = gcm.Seal(iv, pt, {});
+    EXPECT_EQ(HexEncode(sealed),
+              "cea7403d4d606b6e074ec5d3baf39d18"
+              "d0d1c8a799996bf0265b98b5d48ab919")
+        << internal::KernelName(k);
+  }
+}
+
+// GCM spec test cases 15 and 16: a 64-byte plaintext (four blocks, one
+// full GHASH fold) without AAD, and a 60-byte one (partial last block)
+// with 20 bytes of AAD (partial AAD block).
+const char* const kCase15Key =
+    "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308";
+const char* const kCase15Iv = "cafebabefacedbaddecaf888";
+const char* const kCase15Plaintext =
+    "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+    "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255";
+const char* const kCase15Ciphertext =
+    "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+    "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662898015ad";
+
+TEST(AesGcm, SpecCase15FourBlocks) {
+  Bytes key = HexDecode(kCase15Key).take();
+  Bytes iv = HexDecode(kCase15Iv).take();
+  Bytes pt = HexDecode(kCase15Plaintext).take();
+  for (Kernel k : AesKernels()) {
+    AesGcm gcm(key, k);
+    Bytes sealed = gcm.Seal(iv, pt, {});
+    EXPECT_EQ(HexEncode(sealed),
+              std::string(kCase15Ciphertext) +
+                  "b094dac5d93471bdec1a502270e3cc6c")
+        << internal::KernelName(k);
+    auto opened = gcm.Open(iv, sealed, {});
+    ASSERT_TRUE(opened.ok()) << internal::KernelName(k);
+    EXPECT_EQ(*opened, pt);
+  }
+}
+
+TEST(AesGcm, SpecCase16PartialBlocksWithAad) {
+  Bytes key = HexDecode(kCase15Key).take();
+  Bytes iv = HexDecode(kCase15Iv).take();
+  Bytes pt = HexDecode(std::string(kCase15Plaintext).substr(0, 120)).take();
+  Bytes aad = HexDecode("feedfacedeadbeeffeedfacedeadbeefabaddad2").take();
+  for (Kernel k : AesKernels()) {
+    AesGcm gcm(key, k);
+    Bytes sealed = gcm.Seal(iv, pt, aad);
+    EXPECT_EQ(HexEncode(sealed),
+              std::string(kCase15Ciphertext).substr(0, 120) +
+                  "76fc6ece0f4e1768cddf8853bb2d551b")
+        << internal::KernelName(k);
+    auto opened = gcm.Open(iv, sealed, aad);
+    ASSERT_TRUE(opened.ok()) << internal::KernelName(k);
+    EXPECT_EQ(*opened, pt);
+  }
 }
 
 TEST(AesGcm, SealOpenRoundTrip) {

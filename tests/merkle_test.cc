@@ -164,12 +164,12 @@ TEST(Merkle, TruncateToZero) {
 
 // ----------------------------------------------------------- AppendBatch
 //
-// The batched appender (4-way SHA-256 kernel) must be observationally
-// identical to repeated Append: same roots, same historical roots, same
-// proofs, same behaviour under truncation.
+// The batched appender must be observationally identical to repeated
+// Append: same roots, same historical roots, same proofs, same behaviour
+// under truncation.
 
 Bytes FixedLeaf(int i) {
-  // Equal lengths so batches go through the interleaved kernel.
+  // Equal lengths, like ledger transaction leaves.
   char buf[32];
   std::snprintf(buf, sizeof(buf), "transaction-leaf-%08d", i);
   return ToBytes(std::string(buf));
@@ -184,15 +184,11 @@ TEST(Merkle, AppendBatchMatchesSerialForAllSizes) {
     for (const Bytes& l : leaves) serial.Append(l);
     ASSERT_EQ(batched.size(), serial.size()) << "n=" << n;
     ASSERT_EQ(batched.Root(), serial.Root()) << "n=" << n;
-    if (n >= 4) {
-      EXPECT_GT(batched.stats().x4_groups, 0u) << "n=" << n;
-    }
   }
 }
 
 TEST(Merkle, AppendBatchUnequalLengthsFallBack) {
-  // Mixed-length leaves cannot share the interleaved kernel's common tail;
-  // the batch must still produce the serial tree.
+  // Mixed-length leaves must produce the serial tree too.
   std::vector<Bytes> leaves;
   for (int i = 0; i < 23; ++i) leaves.push_back(Leaf(i));  // "tx-0".."tx-22"
   MerkleTree batched, serial;
@@ -288,7 +284,6 @@ TEST(Merkle, BatchStatsCount) {
   const MerkleTree::Stats& s = t.stats();
   EXPECT_EQ(s.batched_leaves, 16u);
   EXPECT_EQ(s.leaf_hashes, 16u);
-  EXPECT_GE(s.x4_groups, 4u);  // 4 leaf groups, plus interior groups
   EXPECT_EQ(s.interior_hashes, 15u);  // a full binary tree over 16 leaves
 }
 

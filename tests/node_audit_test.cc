@@ -139,7 +139,7 @@ TEST(LedgerAudit, RollbackToSignedPrefixIsUndetectable) {
 }
 
 TEST(LedgerAudit, BatchedReplayMatchesSerial) {
-  // The batched audit path (MerkleTree::AppendBatch + crypto::VerifyBatch)
+  // The batched audit path (crypto::VerifyBatch)
   // must accept exactly what the serial baseline accepts and produce the
   // same report, only faster.
   auto [ledger, service] = BuildAuditedLedger();

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "script/interp.h"
 
 namespace ccf::script {
@@ -322,6 +325,52 @@ TEST(CclInterop, BudgetResetsBetweenCalls) {
     interp.ResetBudget();
     ASSERT_TRUE(interp.Call("work", {}).ok()) << i;
   }
+}
+
+// A closure is stored in the scope it captures, a shared_ptr cycle; the
+// interpreter must break it when destroyed, or every constitution run,
+// proposal, ballot and scripted endpoint call leaks its scopes and its
+// compiled program.
+TEST(CclLifetime, DestroyedInterpreterFreesGlobalsAndProgram) {
+  std::weak_ptr<Environment> globals;
+  std::weak_ptr<const Program> program;
+  {
+    auto prog = Compile("function f() { return 1; }");
+    ASSERT_TRUE(prog.ok());
+    program = *prog;
+    Interpreter interp;
+    ASSERT_TRUE(interp.Run(*prog).ok());
+    globals = interp.GetGlobal("f")->AsClosure()->env;
+    ASSERT_FALSE(globals.expired());
+  }
+  EXPECT_TRUE(globals.expired());
+  EXPECT_TRUE(program.expired());
+}
+
+TEST(CclLifetime, DestroyedInterpreterFreesCapturedCallScopes) {
+  // Each make_counter call scope holds `next`, which captures that scope.
+  std::vector<std::weak_ptr<Environment>> scopes;
+  {
+    auto prog = Compile(R"(
+      function make_counter() {
+        let n = 0;
+        function next() { n += 1; return n; }
+        return next;
+      }
+    )");
+    ASSERT_TRUE(prog.ok());
+    Interpreter interp;
+    ASSERT_TRUE(interp.Run(*prog).ok());
+    for (int i = 0; i < 200; ++i) {
+      auto counter = interp.Call("make_counter", {});
+      ASSERT_TRUE(counter.ok()) << counter.status().ToString();
+      auto first = interp.CallValue(*counter, {});
+      ASSERT_TRUE(first.ok());
+      EXPECT_EQ(first->AsNumber(), 1);
+      scopes.push_back(counter->AsClosure()->env);
+    }
+  }
+  for (const auto& scope : scopes) EXPECT_TRUE(scope.expired());
 }
 
 TEST(CclComments, BothStylesIgnored) {
