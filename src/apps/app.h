@@ -44,8 +44,8 @@ struct EndpointDef {
   bool exec_parallel = false;
   // Null (default) means "no schema": the body is passed to the handler
   // unvalidated, and OpenAPI documents no requestBody/response content.
-  json::Value request_schema;
-  json::Value response_schema;
+  json::Value request_schema{};
+  json::Value response_schema{};
   rpc::EndpointHandler handler;
 };
 

@@ -5,10 +5,10 @@
 //   --mode=live  real host: TCP listeners, epoll IO thread, wall-clock
 //                ticker (DESIGN.md §13). Runs until SIGINT/SIGTERM.
 //
-// Live usage:
-//   ccf_host --mode=live --node-id=n0 --rpc-port=8000 --node-port=8500 \
+// Live usage (one command per node, each wrapped over two lines):
+//   ccf_host --mode=live --node-id=n0 --rpc-port=8000 --node-port=8500
 //            --genesis
-//   ccf_host --mode=live --node-id=n1 --rpc-port=8001 --node-port=8501 \
+//   ccf_host --mode=live --node-id=n1 --rpc-port=8001 --node-port=8501
 //            --peer n0=127.0.0.1:8500 --join=n0 --service-identity=<hex>
 //
 // The genesis node prints its service identity; joiners pin it. The demo

@@ -4,16 +4,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
+#include <cstring>
 
-#include "common/hex.h"
-#include "common/logging.h"
-#include "crypto/sha256.h"
 #include "host/tcp.h"
 #include "host/ticker.h"
-#include "node/client.h"
-#include "node/wire.h"
 
 namespace ccf::host {
 
@@ -21,11 +17,8 @@ LiveClient::LiveClient(std::string client_id,
                        crypto::PublicKeyBytes service_identity,
                        const crypto::KeyPair* key,
                        std::optional<crypto::Certificate> cert)
-    : client_id_(std::move(client_id)),
-      service_identity_(service_identity),
-      key_(key),
-      cert_(std::move(cert)),
-      drbg_("ccf-live-client-" + client_id_, 0) {}
+    : ClientCore(client_id, "ccf-live-client-" + client_id, service_identity,
+                 key, std::move(cert)) {}
 
 LiveClient::~LiveClient() { Close(); }
 
@@ -34,21 +27,10 @@ void LiveClient::Close() {
     close(fd_);
     fd_ = -1;
   }
-  session_.reset();
   inbuf_.clear();
   outbuf_.clear();
   out_off_ = 0;
-  queued_requests_.clear();
-  FailPending(Status::Unavailable("connection closed"));
-}
-
-void LiveClient::FailPending(const Status& why) {
-  // A callback may issue new requests; keep the deque coherent.
-  while (!pending_.empty()) {
-    ResponseCallback cb = std::move(pending_.front());
-    pending_.pop_front();
-    cb(why);
-  }
+  CloseSession(Status::Unavailable("connection closed"));
 }
 
 Status LiveClient::Connect(const std::string& host, uint16_t port,
@@ -73,26 +55,32 @@ Status LiveClient::Connect(const std::string& host, uint16_t port,
     Close();
     return Status::Unavailable(std::string("connect: ") + strerror(err));
   }
-  session_ = std::make_unique<rpc::ClientSession>(service_identity_, key_,
-                                                  cert_, &drbg_);
-  parser_ = http::ResponseParser();
-  SendWire(node::WrapWire(node::kSessionRecord, session_->Start()));
-  while (!session_->established()) {
-    uint64_t now = SteadyNowMs();
-    if (now >= deadline) {
-      Close();
-      return Status::Unavailable("handshake timed out");
-    }
-    if (!PollOnce(static_cast<int>(deadline - now))) {
-      return Status::Unavailable("connection closed during handshake");
-    }
-  }
-  return Status::Ok();
+  OpenSession(Status::Unavailable("connection closed"));
+  uint64_t now = SteadyNowMs();
+  RunUntil([this] { return connected() || fd_ < 0; },
+           deadline > now ? deadline - now : 0);
+  if (connected()) return Status::Ok();
+  bool closed = fd_ < 0;
+  Close();
+  return Status::Unavailable(closed ? "connection closed during handshake"
+                                    : "handshake timed out");
 }
 
-void LiveClient::SendWire(ByteSpan session_payload) {
-  AppendFrame(&outbuf_, session_payload);
+void LiveClient::SendWire(Bytes payload) {
+  AppendFrame(&outbuf_, payload);
   TryWrite();
+}
+
+void LiveClient::RunUntil(const std::function<bool()>& done,
+                          uint64_t timeout_ms) {
+  const uint64_t deadline = SteadyNowMs() + timeout_ms;
+  while (!done()) {
+    uint64_t now = SteadyNowMs();
+    if (now >= deadline ||
+        !PollOnce(static_cast<int>(std::min<uint64_t>(deadline - now, 50)))) {
+      return;
+    }
+  }
 }
 
 bool LiveClient::TryWrite() {
@@ -110,58 +98,6 @@ bool LiveClient::TryWrite() {
   }
   outbuf_.clear();
   out_off_ = 0;
-  return true;
-}
-
-void LiveClient::SendRequest(http::Request request, ResponseCallback callback) {
-  if (!connected()) {
-    callback(Status::FailedPrecondition("client not connected"));
-    return;
-  }
-  pending_.push_back(std::move(callback));
-  Bytes wire = request.Serialize();
-  if (!session_->established()) {
-    queued_requests_.push_back(std::move(wire));
-    return;
-  }
-  auto record = session_->Seal(wire);
-  if (record.ok()) SendWire(node::WrapWire(node::kSessionRecord, *record));
-}
-
-void LiveClient::FlushQueue() {
-  while (!queued_requests_.empty()) {
-    auto record = session_->Seal(queued_requests_.front());
-    queued_requests_.pop_front();
-    if (record.ok()) SendWire(node::WrapWire(node::kSessionRecord, *record));
-  }
-}
-
-bool LiveClient::HandleFrame(ByteSpan frame) {
-  if (session_ == nullptr || frame.empty() ||
-      frame[0] != node::kSessionRecord) {
-    return true;  // not a session record; ignore
-  }
-  auto out = session_->OnRecord(frame.subspan(1));
-  if (!out.ok()) {
-    LOG_DEBUG << client_id_ << " session error: " << out.status().ToString();
-    return true;
-  }
-  if (out->established) FlushQueue();
-  for (const Bytes& app_data : out->app_data) {
-    parser_.Feed(app_data);
-  }
-  while (true) {
-    auto resp = parser_.Next();
-    if (!resp.ok() || !resp->has_value()) break;
-    ++responses_received_;
-    bool server_close = (*resp)->GetHeader("connection") == "close";
-    if (!pending_.empty()) {
-      ResponseCallback cb = std::move(pending_.front());
-      pending_.pop_front();
-      cb(std::move(**resp));
-    }
-    if (server_close) return false;
-  }
   return true;
 }
 
@@ -199,75 +135,14 @@ bool LiveClient::PollOnce(int timeout_ms) {
       return false;
     }
     for (const Bytes& f : frames) {
-      if (!HandleFrame(f)) {
-        // Server announced connection: close — honour it.
+      if (!OnSessionRecord(f)) {
+        // Server announced connection: close -- honour it.
         Close();
         return false;
       }
     }
   }
   return true;
-}
-
-Result<http::Response> LiveClient::Call(http::Request request,
-                                        uint64_t timeout_ms) {
-  // Shared, not stack-captured: on timeout the pending callback outlives
-  // this frame and may still fire on a later close/reconnect.
-  auto result = std::make_shared<std::optional<Result<http::Response>>>();
-  SendRequest(std::move(request), [result](Result<http::Response> r) {
-    *result = std::move(r);
-  });
-  const uint64_t deadline = SteadyNowMs() + timeout_ms;
-  while (!result->has_value()) {
-    uint64_t now = SteadyNowMs();
-    if (now >= deadline) return Status::Unavailable("request timed out");
-    if (!PollOnce(static_cast<int>(std::min<uint64_t>(deadline - now, 50))) &&
-        !result->has_value()) {
-      return Status::Unavailable("connection closed");
-    }
-  }
-  return std::move(**result);
-}
-
-Result<http::Response> LiveClient::Get(const std::string& path,
-                                       uint64_t timeout_ms) {
-  http::Request req;
-  req.method = "GET";
-  req.path = path;
-  return Call(std::move(req), timeout_ms);
-}
-
-Result<http::Response> LiveClient::PostJson(const std::string& path,
-                                            const json::Value& body,
-                                            uint64_t timeout_ms) {
-  http::Request req;
-  req.method = "POST";
-  req.path = path;
-  req.headers["content-type"] = "application/json";
-  req.body = ToBytes(body.Dump());
-  return Call(std::move(req), timeout_ms);
-}
-
-Result<http::Response> LiveClient::PostJsonSigned(const std::string& path,
-                                                  const json::Value& body,
-                                                  uint64_t timeout_ms) {
-  if (key_ == nullptr) {
-    return Status::FailedPrecondition("client has no signing key");
-  }
-  http::Request req;
-  req.method = "POST";
-  req.path = path;
-  req.headers["content-type"] = "application/json";
-  req.body = ToBytes(body.Dump());
-  auto digest = crypto::Sha256::Hash(req.body);
-  auto sig = key_->Sign(ByteSpan(digest.data(), digest.size()));
-  req.headers["x-ccf-signature"] = HexEncode(ByteSpan(sig.data(), sig.size()));
-  return Call(std::move(req), timeout_ms);
-}
-
-std::optional<std::pair<uint64_t, uint64_t>> LiveClient::TxIdOf(
-    const http::Response& response) {
-  return node::Client::TxIdOf(response);
 }
 
 }  // namespace ccf::host

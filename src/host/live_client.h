@@ -1,12 +1,11 @@
-// LiveClient: the live-mode counterpart of node::Client — a user or
-// member client speaking STLS-over-TCP to a live node's RPC port.
+// LiveClient: node::ClientCore over TCP -- a user or member client
+// speaking STLS to a live node's RPC port.
 //
 // Single-threaded and poll-driven: the owning thread calls Connect once
 // (dial + handshake, blocking up to a timeout), then either the blocking
 // conveniences (Call/Get/PostJson/PostJsonSigned) or the pipelined pair
 // SendRequest + PollOnce, which is what the closed-loop bench harness
-// drives. Requests pipeline freely; responses are matched to callbacks in
-// FIFO order, exactly as in the simulator client.
+// drives.
 //
 // Each TCP frame body is the byte string a simulated Environment::Send
 // would carry (0x01 session-record prefix + STLS record), so the enclave
@@ -15,89 +14,43 @@
 #ifndef CCF_HOST_LIVE_CLIENT_H_
 #define CCF_HOST_LIVE_CLIENT_H_
 
-#include <deque>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 
-#include "crypto/cert.h"
-#include "crypto/hmac.h"
-#include "http/http.h"
-#include "json/json.h"
-#include "rpc/session.h"
+#include "node/client.h"
 
 namespace ccf::host {
 
-class LiveClient {
+class LiveClient : public node::ClientCore {
  public:
   // `key`/`cert` may be null/empty for anonymous clients.
   LiveClient(std::string client_id, crypto::PublicKeyBytes service_identity,
              const crypto::KeyPair* key = nullptr,
              std::optional<crypto::Certificate> cert = std::nullopt);
-  ~LiveClient();
-
-  LiveClient(const LiveClient&) = delete;
-  LiveClient& operator=(const LiveClient&) = delete;
+  ~LiveClient() override;
 
   // Dials host:port and completes the STLS handshake (or fails by
   // `timeout_ms`). Reconnecting fails outstanding callbacks first.
   Status Connect(const std::string& host, uint16_t port,
                  uint64_t timeout_ms = 5000);
-  bool connected() const { return fd_ >= 0 && session_ != nullptr; }
+  // Closes the socket; outstanding callbacks fail.
   void Close();
-
-  using ResponseCallback = std::function<void(Result<http::Response>)>;
-
-  // Pipelines a request; the callback fires from a later PollOnce/Call.
-  void SendRequest(http::Request request, ResponseCallback callback);
 
   // Processes socket IO for up to `timeout_ms` (one poll round) and
   // dispatches any completed responses. Returns false once the connection
   // is closed (all pending callbacks have been failed).
   bool PollOnce(int timeout_ms);
 
-  // Blocking conveniences, mirroring node::Client.
-  Result<http::Response> Call(http::Request request,
-                              uint64_t timeout_ms = 5000);
-  Result<http::Response> Get(const std::string& path,
-                             uint64_t timeout_ms = 5000);
-  Result<http::Response> PostJson(const std::string& path,
-                                  const json::Value& body,
-                                  uint64_t timeout_ms = 5000);
-  // Signs the body with the client key (governance requests).
-  Result<http::Response> PostJsonSigned(const std::string& path,
-                                        const json::Value& body,
-                                        uint64_t timeout_ms = 5000);
-
-  static std::optional<std::pair<uint64_t, uint64_t>> TxIdOf(
-      const http::Response& response);
-
-  uint64_t responses_received() const { return responses_received_; }
-  size_t pending() const { return pending_.size(); }
-
  private:
-  void SendWire(ByteSpan session_payload);  // frame + buffer + try write
-  void FlushQueue();
-  bool HandleFrame(ByteSpan frame);
+  void SendWire(Bytes payload) override;
+  void RunUntil(const std::function<bool()>& done,
+                uint64_t timeout_ms) override;
   bool TryWrite();
-  void FailPending(const Status& why);
-
-  std::string client_id_;
-  crypto::PublicKeyBytes service_identity_;
-  const crypto::KeyPair* key_;
-  std::optional<crypto::Certificate> cert_;
-  crypto::Drbg drbg_;
 
   int fd_ = -1;
-  std::unique_ptr<rpc::ClientSession> session_;
-  http::ResponseParser parser_;
   Bytes inbuf_;
   Bytes outbuf_;
   size_t out_off_ = 0;
-  std::deque<Bytes> queued_requests_;  // serialized, awaiting handshake
-  std::deque<ResponseCallback> pending_;
-  uint64_t responses_received_ = 0;
 };
 
 }  // namespace ccf::host

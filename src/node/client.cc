@@ -7,40 +7,41 @@
 
 namespace ccf::node {
 
-Client::Client(std::string client_id, sim::Environment* env,
-               crypto::PublicKeyBytes service_identity,
-               const crypto::KeyPair* key,
-               std::optional<crypto::Certificate> cert)
+ClientCore::ClientCore(std::string client_id, const std::string& drbg_label,
+                       crypto::PublicKeyBytes service_identity,
+                       const crypto::KeyPair* key,
+                       std::optional<crypto::Certificate> cert)
     : client_id_(std::move(client_id)),
-      env_(env),
       service_identity_(service_identity),
       key_(key),
       cert_(std::move(cert)),
-      drbg_("ccf-client-" + client_id_, 0) {
-  env_->Register(
-      client_id_,
-      [this](const std::string& from, ByteSpan data) {
-        OnNetMessage(from, data);
-      },
-      [](uint64_t) {});
-}
+      drbg_(drbg_label, 0) {}
 
-Client::~Client() { env_->Unregister(client_id_); }
-
-void Client::Connect(const std::string& node_id) {
-  node_id_ = node_id;
+void ClientCore::OpenSession(const Status& why) {
   session_ = std::make_unique<rpc::ClientSession>(service_identity_, key_,
                                                   cert_, &drbg_);
   parser_ = http::ResponseParser();
-  // Outstanding callbacks fail: the session is gone.
-  for (auto& cb : pending_) {
-    cb(Status::Unavailable("session closed by reconnect"));
-  }
-  pending_.clear();
-  env_->Send(client_id_, node_id_, WrapWire(kSessionRecord, session_->Start()));
+  queued_requests_.clear();
+  FailPending(why);
+  SendWire(WrapWire(kSessionRecord, session_->Start()));
 }
 
-void Client::SendRequest(http::Request request, ResponseCallback callback) {
+void ClientCore::CloseSession(const Status& why) {
+  session_.reset();
+  parser_ = http::ResponseParser();
+  queued_requests_.clear();
+  FailPending(why);
+}
+
+void ClientCore::FailPending(const Status& why) {
+  // A callback may issue new requests: they land on a fresh deque.
+  std::deque<ResponseCallback> failed;
+  failed.swap(pending_);
+  for (ResponseCallback& cb : failed) cb(why);
+}
+
+void ClientCore::SendRequest(http::Request request,
+                             ResponseCallback callback) {
   if (session_ == nullptr) {
     callback(Status::FailedPrecondition("client not connected"));
     return;
@@ -51,33 +52,31 @@ void Client::SendRequest(http::Request request, ResponseCallback callback) {
     queued_requests_.push_back(std::move(wire));
     return;
   }
-  auto record = session_->Seal(wire);
-  if (record.ok()) {
-    env_->Send(client_id_, node_id_, WrapWire(kSessionRecord, *record));
-  }
+  Seal(wire);
 }
 
-void Client::FlushQueue() {
-  while (!queued_requests_.empty()) {
-    auto record = session_->Seal(queued_requests_.front());
-    queued_requests_.pop_front();
-    if (record.ok()) {
-      env_->Send(client_id_, node_id_, WrapWire(kSessionRecord, *record));
-    }
-  }
+void ClientCore::Seal(ByteSpan request) {
+  auto record = session_->Seal(request);
+  if (record.ok()) SendWire(WrapWire(kSessionRecord, *record));
 }
 
-void Client::OnNetMessage(const std::string& from, ByteSpan data) {
-  if (session_ == nullptr || from != node_id_ || data.empty() ||
-      data[0] != kSessionRecord) {
-    return;
+bool ClientCore::OnSessionRecord(ByteSpan payload) {
+  if (session_ == nullptr || payload.empty() ||
+      payload[0] != kSessionRecord) {
+    return true;
   }
-  auto out = session_->OnRecord(data.subspan(1));
+  auto out = session_->OnRecord(payload.subspan(1));
   if (!out.ok()) {
     LOG_DEBUG << client_id_ << " session error: " << out.status().ToString();
-    return;
+    return true;
   }
-  if (out->established) FlushQueue();
+  if (out->established) {
+    while (!queued_requests_.empty()) {
+      Bytes wire = std::move(queued_requests_.front());
+      queued_requests_.pop_front();
+      Seal(wire);
+    }
+  }
   for (const Bytes& app_data : out->app_data) {
     parser_.Feed(app_data);
   }
@@ -85,72 +84,111 @@ void Client::OnNetMessage(const std::string& from, ByteSpan data) {
     auto resp = parser_.Next();
     if (!resp.ok() || !resp->has_value()) break;
     ++responses_received_;
+    bool server_close = (*resp)->GetHeader("connection") == "close";
     if (!pending_.empty()) {
       ResponseCallback cb = std::move(pending_.front());
       pending_.pop_front();
       cb(std::move(**resp));
     }
+    if (server_close) return false;
   }
+  return true;
 }
 
-Result<http::Response> Client::Call(http::Request request,
-                                    uint64_t timeout_ms) {
+Result<http::Response> ClientCore::Call(http::Request request,
+                                        uint64_t timeout_ms) {
   // Shared, not stack-captured: on timeout the pending callback outlives
-  // this frame and may still fire on a later reconnect/teardown.
+  // this frame and may still fire on a later reconnect/close.
   auto result = std::make_shared<std::optional<Result<http::Response>>>();
   SendRequest(std::move(request), [result](Result<http::Response> r) {
     *result = std::move(r);
   });
-  env_->RunUntil([&] { return result->has_value(); }, timeout_ms);
+  RunUntil([&] { return result->has_value(); }, timeout_ms);
   if (!result->has_value()) {
     return Status::Unavailable("request timed out");
   }
   return std::move(**result);
 }
 
-Result<http::Response> Client::Get(const std::string& path,
-                                   uint64_t timeout_ms) {
+http::Request GetRequest(const std::string& path) {
   http::Request req;
   req.method = "GET";
   req.path = path;
-  return Call(std::move(req), timeout_ms);
+  return req;
 }
 
-Result<http::Response> Client::PostJson(const std::string& path,
-                                        const json::Value& body,
-                                        uint64_t timeout_ms) {
+http::Request JsonPostRequest(const std::string& path,
+                              const json::Value& body) {
   http::Request req;
   req.method = "POST";
   req.path = path;
   req.headers["content-type"] = "application/json";
   req.body = ToBytes(body.Dump());
-  return Call(std::move(req), timeout_ms);
+  return req;
 }
 
-Result<http::Response> Client::PostJsonSigned(const std::string& path,
-                                              const json::Value& body,
-                                              uint64_t timeout_ms) {
+Result<http::Response> ClientCore::Get(const std::string& path,
+                                       uint64_t timeout_ms) {
+  return Call(GetRequest(path), timeout_ms);
+}
+
+Result<http::Response> ClientCore::PostJson(const std::string& path,
+                                            const json::Value& body,
+                                            uint64_t timeout_ms) {
+  return Call(JsonPostRequest(path, body), timeout_ms);
+}
+
+Result<http::Response> ClientCore::PostJsonSigned(const std::string& path,
+                                                  const json::Value& body,
+                                                  uint64_t timeout_ms) {
   if (key_ == nullptr) {
     return Status::FailedPrecondition("client has no signing key");
   }
-  http::Request req;
-  req.method = "POST";
-  req.path = path;
-  req.headers["content-type"] = "application/json";
-  req.body = ToBytes(body.Dump());
+  http::Request req = JsonPostRequest(path, body);
   auto digest = crypto::Sha256::Hash(req.body);
   auto sig = key_->Sign(ByteSpan(digest.data(), digest.size()));
   req.headers["x-ccf-signature"] = HexEncode(ByteSpan(sig.data(), sig.size()));
   return Call(std::move(req), timeout_ms);
 }
 
-std::optional<std::pair<uint64_t, uint64_t>> Client::TxIdOf(
+std::optional<std::pair<uint64_t, uint64_t>> ClientCore::TxIdOf(
     const http::Response& response) {
   std::string header = response.GetHeader(http::kTxIdHeader);
   size_t dot = header.find('.');
   if (dot == std::string::npos) return std::nullopt;
   return std::make_pair(std::strtoull(header.c_str(), nullptr, 10),
                         std::strtoull(header.c_str() + dot + 1, nullptr, 10));
+}
+
+Client::Client(std::string client_id, sim::Environment* env,
+               crypto::PublicKeyBytes service_identity,
+               const crypto::KeyPair* key,
+               std::optional<crypto::Certificate> cert)
+    : ClientCore(client_id, "ccf-client-" + client_id, service_identity, key,
+                 std::move(cert)),
+      env_(env) {
+  env_->Register(
+      this->client_id(),
+      [this](const std::string& from, ByteSpan data) {
+        if (from == node_id_) OnSessionRecord(data);
+      },
+      [](uint64_t) {});
+}
+
+Client::~Client() { env_->Unregister(client_id()); }
+
+void Client::Connect(const std::string& node_id) {
+  node_id_ = node_id;
+  OpenSession(Status::Unavailable("session closed by reconnect"));
+}
+
+void Client::SendWire(Bytes payload) {
+  env_->Send(client_id(), node_id_, std::move(payload));
+}
+
+void Client::RunUntil(const std::function<bool()>& done,
+                      uint64_t timeout_ms) {
+  env_->RunUntil(done, timeout_ms);
 }
 
 }  // namespace ccf::node

@@ -1,9 +1,15 @@
-// A user (or consortium member) client in the simulation.
+// User and consortium member clients.
 //
-// Connects to any CCF node over STLS (pinning the service identity, paper
-// §6.1), speaks HTTP/1.1 inside the session, and surfaces responses with
-// their transaction IDs. Members sign governance request bodies with their
-// certificate key (the COSE-Sign1 analogue).
+// A client opens an STLS session to any CCF node (pinning the service
+// identity, paper §6.1), speaks HTTP/1.1 inside it and surfaces responses
+// with their transaction IDs. Members sign governance request bodies with
+// their certificate key (the COSE-Sign1 analogue).
+//
+// ClientCore is all of that except the transport: the session, requests
+// queued until the handshake completes, response parsing and FIFO callback
+// matching, and the request conveniences. A transport implements SendWire
+// and RunUntil and hands every payload it receives to OnSessionRecord.
+// node::Client below is the simulator transport; host::LiveClient is TCP.
 
 #ifndef CCF_NODE_CLIENT_H_
 #define CCF_NODE_CLIENT_H_
@@ -22,27 +28,30 @@
 
 namespace ccf::node {
 
-class Client {
+// The requests ClientCore::Get and ClientCore::PostJson send.
+http::Request GetRequest(const std::string& path);
+http::Request JsonPostRequest(const std::string& path,
+                              const json::Value& body);
+
+class ClientCore {
  public:
-  // `key`/`cert` may be null/empty for anonymous clients.
-  Client(std::string client_id, sim::Environment* env,
-         crypto::PublicKeyBytes service_identity,
-         const crypto::KeyPair* key = nullptr,
-         std::optional<crypto::Certificate> cert = std::nullopt);
-  ~Client();
-
-  // Opens (or re-opens) a session to `node_id`.
-  void Connect(const std::string& node_id);
-  const std::string& connected_node() const { return node_id_; }
-  bool connected() const { return session_ != nullptr && session_->established(); }
-
   using ResponseCallback = std::function<void(Result<http::Response>)>;
 
-  // Fire-and-forget: responses arrive via callback as the simulation runs.
+  ClientCore(const ClientCore&) = delete;
+  ClientCore& operator=(const ClientCore&) = delete;
+  virtual ~ClientCore() = default;
+
+  // True once the session handshake has completed.
+  bool connected() const {
+    return session_ != nullptr && session_->established();
+  }
+
+  // Pipelines a request; responses are matched to callbacks in FIFO order.
+  // Requests sent before the handshake completes go out once it does.
   void SendRequest(http::Request request, ResponseCallback callback);
 
-  // Convenience: drives the environment until the response arrives (or
-  // timeout). Handshake is performed on demand.
+  // Blocking conveniences: drive the transport until the response arrives
+  // (or `timeout_ms` passes).
   Result<http::Response> Call(http::Request request,
                               uint64_t timeout_ms = 5000);
   Result<http::Response> Get(const std::string& path,
@@ -59,26 +68,73 @@ class Client {
   static std::optional<std::pair<uint64_t, uint64_t>> TxIdOf(
       const http::Response& response);
 
-  // Statistics for benchmarks.
   uint64_t responses_received() const { return responses_received_; }
+  size_t pending() const { return pending_.size(); }
+
+ protected:
+  // `key`/`cert` may be null/empty for anonymous clients. The DRBG is
+  // labelled `drbg_label` (fixed per client so simulation runs replay).
+  ClientCore(std::string client_id, const std::string& drbg_label,
+             crypto::PublicKeyBytes service_identity,
+             const crypto::KeyPair* key,
+             std::optional<crypto::Certificate> cert);
+
+  // Transport: sends one wire payload (kSessionRecord + STLS record).
+  virtual void SendWire(Bytes payload) = 0;
+  // Transport: processes IO until `done()` holds or `timeout_ms` passes.
+  virtual void RunUntil(const std::function<bool()>& done,
+                        uint64_t timeout_ms) = 0;
+
+  // Starts a fresh session and sends its hello. Pending callbacks fail
+  // with `why` first; requests they issue queue on the new session.
+  void OpenSession(const Status& why);
+  // Drops the session; pending callbacks fail with `why`.
+  void CloseSession(const Status& why);
+
+  // Handles one received wire payload (anything but a session record is
+  // ignored): completes the handshake, flushes queued requests, and
+  // dispatches complete responses. Returns false once a response
+  // announced `connection: close`; later responses are left unparsed.
+  bool OnSessionRecord(ByteSpan payload);
+
+  const std::string& client_id() const { return client_id_; }
 
  private:
-  void OnNetMessage(const std::string& from, ByteSpan data);
-  void FlushQueue();
+  void Seal(ByteSpan request);
+  void FailPending(const Status& why);
 
   std::string client_id_;
-  sim::Environment* env_;
   crypto::PublicKeyBytes service_identity_;
   const crypto::KeyPair* key_;
   std::optional<crypto::Certificate> cert_;
   crypto::Drbg drbg_;
 
-  std::string node_id_;
   std::unique_ptr<rpc::ClientSession> session_;
   http::ResponseParser parser_;
   std::deque<Bytes> queued_requests_;  // serialized, awaiting handshake
   std::deque<ResponseCallback> pending_;
   uint64_t responses_received_ = 0;
+};
+
+// A client in the simulation: a registered sim::Environment endpoint.
+class Client : public ClientCore {
+ public:
+  Client(std::string client_id, sim::Environment* env,
+         crypto::PublicKeyBytes service_identity,
+         const crypto::KeyPair* key = nullptr,
+         std::optional<crypto::Certificate> cert = std::nullopt);
+  ~Client() override;
+
+  // Opens (or re-opens) a session to `node_id`.
+  void Connect(const std::string& node_id);
+
+ private:
+  void SendWire(Bytes payload) override;
+  void RunUntil(const std::function<bool()>& done,
+                uint64_t timeout_ms) override;
+
+  sim::Environment* env_;
+  std::string node_id_;
 };
 
 }  // namespace ccf::node

@@ -96,9 +96,54 @@ void Node::BindNodeMetrics() {
   historical_metrics_.entries_rejected =
       metrics_.GetCounter("historical.entries_rejected");
   m_channel_rekeys_ = metrics_.GetCounter("channel.rekeys");
-  m_index_upto_ = metrics_.GetGauge("index.upto");
-  m_index_lag_ = metrics_.GetGauge("index.lag");
-  m_ledger_entries_ = metrics_.GetGauge("ledger.entries");
+  // Per-tick gauges (write-only; nothing reads them back): the state
+  // GET /node/metrics reports for the ledger, the Merkle tree, the
+  // historical cache and the indexer.
+  auto tick_gauge = [this](const std::string& name,
+                           std::function<uint64_t()> read) {
+    tick_gauges_.emplace_back(metrics_.GetGauge(name), std::move(read));
+  };
+  tick_gauge("index.upto", [this] { return indexer_.indexed_upto(); });
+  tick_gauge("index.lag",
+             [this] { return indexer_.Lag(raft_->commit_seqno()); });
+  tick_gauge("index.entries_fed",
+             [this] { return indexer_.stats().entries_fed; });
+  tick_gauge("index.max_fed_per_tick",
+             [this] { return indexer_.stats().max_fed_per_tick; });
+  tick_gauge("index.decode_failures",
+             [this] { return indexer_.stats().decode_failures; });
+  tick_gauge("ledger.entries", [this] { return host_ledger_.last_seqno(); });
+  tick_gauge("ledger.base", [this] { return host_ledger_.base_seqno(); });
+  tick_gauge("merkle.leaf_hashes",
+             [this] { return tree_.stats().leaf_hashes; });
+  tick_gauge("merkle.interior_hashes",
+             [this] { return tree_.stats().interior_hashes; });
+  tick_gauge("merkle.batched_leaves",
+             [this] { return tree_.stats().batched_leaves; });
+  tick_gauge("receipt.receiptable_upto", [this] { return ReceiptableUpto(); });
+  tick_gauge("tee.worker.threads", [this] {
+    return static_cast<uint64_t>(worker_pool_.worker_count());
+  });
+  using CacheStats = historical::StateCache::Stats;
+  for (auto [name, field] :
+       std::initializer_list<std::pair<const char*, uint64_t CacheStats::*>>{
+           {"requests", &CacheStats::requests},
+           {"hits", &CacheStats::hits},
+           {"fetches", &CacheStats::fetches},
+           {"retries", &CacheStats::retries},
+           {"timeouts", &CacheStats::timeouts},
+           {"failures", &CacheStats::failures},
+           {"entries_accepted", &CacheStats::entries_accepted},
+           {"entries_rejected", &CacheStats::entries_rejected},
+           {"stale_responses", &CacheStats::stale_responses},
+           {"evictions", &CacheStats::evictions},
+           {"expired", &CacheStats::expired}}) {
+    tick_gauge(std::string("historical.cache.") + name,
+               [this, field] { return historical_->stats().*field; });
+  }
+  tick_gauge("historical.cache.cached_requests", [this] {
+    return static_cast<uint64_t>(historical_->cached_requests());
+  });
   snapshot_metrics_.taken = metrics_.GetCounter("snapshot.taken");
   snapshot_metrics_.evidence_committed =
       metrics_.GetCounter("snapshot.evidence_committed");
@@ -107,7 +152,6 @@ void Node::BindNodeMetrics() {
       metrics_.GetCounter("snapshot.persist_drops");
   snapshot_metrics_.persist_corrupts =
       metrics_.GetCounter("snapshot.persist_corrupts");
-  m_ledger_base_ = metrics_.GetGauge("ledger.base");
   exec_metrics_.batches = metrics_.GetCounter("exec.batches");
   exec_metrics_.requests = metrics_.GetCounter("exec.requests");
   exec_metrics_.conflicts = metrics_.GetCounter("exec.conflicts");
@@ -381,11 +425,7 @@ void Node::Tick(uint64_t now_ms) {
     // A long-lived primary bounds its in-memory consensus log by the
     // snapshot horizon; laggards below it are offered the bundle instead.
     MaybeCompactRaftLog();
-    // Per-tick observability gauges (write-only; nothing reads them back).
-    m_index_upto_->Set(indexer_.indexed_upto());
-    m_index_lag_->Set(indexer_.Lag(raft_->commit_seqno()));
-    m_ledger_entries_->Set(host_ledger_.last_seqno());
-    m_ledger_base_->Set(host_ledger_.base_seqno());
+    for (auto& [gauge, read] : tick_gauges_) gauge->Set(read());
   }
   DrainEnclaveOutbox();
 }

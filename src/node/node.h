@@ -124,9 +124,9 @@ class Node : public consensus::RaftCallbacks {
   observe::Registry& metrics() { return metrics_; }
   const observe::Registry& metrics() const { return metrics_; }
 
-  // Crypto op telemetry (also surfaced via GET /node/crypto_ops). Merkle
-  // hashing counters live in tree().stats(). The values live in the
-  // metrics registry; this is a point-in-time snapshot of them.
+  // Crypto op telemetry. Merkle hashing counters live in tree().stats().
+  // The values live in the metrics registry (GET /node/metrics); this is
+  // a point-in-time snapshot of them.
   struct CryptoOpCounters {
     uint64_t signs = 0;            // signature transactions signed
     uint64_t signs_deferred = 0;   // of which went through the worker pool
@@ -136,8 +136,8 @@ class Node : public consensus::RaftCallbacks {
     uint64_t verify_failures = 0;  // signatures that failed verification
   };
   CryptoOpCounters crypto_ops() const;
-  // Host-fetch / historical-query telemetry (GET /node/historical);
-  // registry-backed snapshot, like crypto_ops().
+  // Host-fetch / historical-query telemetry; registry-backed snapshot,
+  // like crypto_ops().
   struct HistoricalCounters {
     uint64_t host_fetch_requests = 0;   // fetch requests the host served
     uint64_t host_fetch_responses = 0;  // responses delivered to the enclave
@@ -603,9 +603,9 @@ class Node : public consensus::RaftCallbacks {
   };
   HistoricalMetrics historical_metrics_;
   observe::Counter* m_channel_rekeys_ = nullptr;
-  observe::Gauge* m_index_upto_ = nullptr;
-  observe::Gauge* m_index_lag_ = nullptr;
-  observe::Gauge* m_ledger_entries_ = nullptr;
+  // Set from their sources at the end of every Node::Tick.
+  std::vector<std::pair<observe::Gauge*, std::function<uint64_t()>>>
+      tick_gauges_;
   struct SnapshotMetrics {
     observe::Counter* taken = nullptr;
     observe::Counter* evidence_committed = nullptr;
@@ -614,7 +614,6 @@ class Node : public consensus::RaftCallbacks {
     observe::Counter* persist_corrupts = nullptr;
   };
   SnapshotMetrics snapshot_metrics_;
-  observe::Gauge* m_ledger_base_ = nullptr;
   struct ExecMetrics {
     observe::Counter* batches = nullptr;
     observe::Counter* requests = nullptr;

@@ -717,31 +717,6 @@ void Node::InstallFrameworkEndpoints() {
        },
        AuthPolicy::kNoAuth, /*read_only=*/true});
 
-  // Crypto op telemetry. Thin alias over the metrics registry (the
-  // generic endpoint is GET /node/metrics); keeps the original flat keys.
-  registry_.Install(
-      "GET", "/node/crypto_ops",
-      {[this](EndpointContext* ctx) {
-         const merkle::MerkleTree::Stats& ts = tree_.stats();
-         CryptoOpCounters ops = crypto_ops();
-         json::Object out;
-         out["merkle_leaf_hashes"] = ts.leaf_hashes;
-         out["merkle_interior_hashes"] = ts.interior_hashes;
-         out["merkle_batched_leaves"] = ts.batched_leaves;
-         out["signs"] = ops.signs;
-         out["signs_deferred"] = ops.signs_deferred;
-         out["verifies_single"] = ops.verifies_single;
-         out["verifies_batched"] = ops.verifies_batched;
-         out["verify_batches"] = ops.verify_batches;
-         out["verify_failures"] = ops.verify_failures;
-         out["worker_threads"] = static_cast<uint64_t>(
-             worker_pool_.worker_count());
-         out["worker_jobs_submitted"] = worker_pool_.submitted();
-         out["worker_jobs_drained"] = worker_pool_.drained();
-         ctx->SetJsonResponse(200, json::Value(std::move(out)));
-       },
-       AuthPolicy::kNoAuth, /*read_only=*/true});
-
   // Generic metrics exposition: every registry metric, as JSON or (with
   // ?format=prometheus) Prometheus text. Only aggregate numbers cross
   // this boundary -- see DESIGN.md on what enclave code may record.
@@ -889,46 +864,6 @@ void Node::InstallFrameworkEndpoints() {
       "POST", "/gov/recovery_share",
       {[this](EndpointContext* ctx) { HandleRecoveryShareSubmission(ctx); },
        AuthPolicy::kMemberCert, /*read_only=*/false});
-
-  // Historical-query / indexing telemetry (operator view of paper §3.4/3.6).
-  registry_.Install(
-      "GET", "/node/historical",
-      {[this](EndpointContext* ctx) {
-         const historical::StateCache::Stats& cs = historical_->stats();
-         const indexing::Indexer::Stats& is = indexer_.stats();
-         HistoricalCounters hc = historical_counters();
-         json::Object out;
-         out["cache_requests"] = cs.requests;
-         out["cache_hits"] = cs.hits;
-         out["cache_fetches"] = cs.fetches;
-         out["cache_retries"] = cs.retries;
-         out["cache_timeouts"] = cs.timeouts;
-         out["cache_failures"] = cs.failures;
-         out["cache_entries_accepted"] = cs.entries_accepted;
-         out["cache_entries_rejected"] = cs.entries_rejected;
-         out["cache_stale_responses"] = cs.stale_responses;
-         out["cache_evictions"] = cs.evictions;
-         out["cache_expired"] = cs.expired;
-         out["cached_requests"] = static_cast<uint64_t>(
-             historical_->cached_requests());
-         out["indexed_upto"] = indexer_.indexed_upto();
-         out["index_lag"] = indexer_.Lag(
-             raft_ != nullptr ? raft_->commit_seqno() : 0);
-         out["index_entries_fed"] = is.entries_fed;
-         out["index_max_fed_per_tick"] = is.max_fed_per_tick;
-         out["index_decode_failures"] = is.decode_failures;
-         out["receiptable_upto"] = ReceiptableUpto();
-         out["host_fetch_requests"] = hc.host_fetch_requests;
-         out["host_fetch_responses"] = hc.host_fetch_responses;
-         out["host_fetch_drops"] = hc.host_fetch_drops;
-         out["host_fetch_corrupts"] = hc.host_fetch_corrupts;
-         out["host_fetch_delays"] = hc.host_fetch_delays;
-         out["host_fetch_reorders"] = hc.host_fetch_reorders;
-         out["entries_verified"] = hc.entries_verified;
-         out["entries_rejected"] = hc.entries_rejected;
-         ctx->SetJsonResponse(200, json::Value(std::move(out)));
-       },
-       AuthPolicy::kNoAuth, /*read_only=*/true});
 
   registry_.Install(
       "GET", "/node/api",

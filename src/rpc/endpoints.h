@@ -96,15 +96,15 @@ struct EndpointSpec {
   // requests) must leave this unset and run serially.
   bool exec_parallel = false;
   // One-line human summary, surfaced in the generated OpenAPI document.
-  std::string summary;
+  std::string summary{};
   // Optional JSON schemas (json/schema.h subset). When request_schema is
   // set, the node validates the parsed request body against it and rejects
   // violations with a structured 400 *before* a KV transaction is opened.
   // response_schema is documentation-only (embedded in OpenAPI); responses
   // are not validated on the hot path. Shared pointers because specs are
   // copied into per-request resolution state and schemas can be large.
-  std::shared_ptr<const json::Value> request_schema;
-  std::shared_ptr<const json::Value> response_schema;
+  std::shared_ptr<const json::Value> request_schema{};
+  std::shared_ptr<const json::Value> response_schema{};
 };
 
 class EndpointRegistry {

@@ -118,21 +118,14 @@ TEST(SchemaGate, RejectionPreservesPipelinedResponseOrder) {
   std::vector<int> statuses;
   std::vector<std::string> markers;
   for (int i = 0; i < 9; ++i) {
-    http::Request r;
-    r.method = "POST";
-    r.path = "/app/log";
-    if (i % 3 == 2) {
-      r.body = ToBytes("{\"id\": \"bad\", \"msg\": \"x\"}");
-    } else {
-      r.body = ToBytes("{\"id\": " + std::to_string(i) +
-                       ", \"msg\": \"m" + std::to_string(i) + "\"}");
-    }
-    r.headers["content-type"] = "application/json";
-    c->SendRequest(std::move(r), [&, i](Result<http::Response> resp) {
-      ASSERT_TRUE(resp.ok());
-      statuses.push_back(resp->status);
-      markers.push_back(std::to_string(i));
-    });
+    json::Value body = LogBody(i, "m" + std::to_string(i));
+    if (i % 3 == 2) body["id"] = "bad";  // fails the schema
+    c->SendRequest(node::JsonPostRequest("/app/log", body),
+                   [&, i](Result<http::Response> resp) {
+                     ASSERT_TRUE(resp.ok());
+                     statuses.push_back(resp->status);
+                     markers.push_back(std::to_string(i));
+                   });
   }
   ASSERT_TRUE(h.env().RunUntil([&] { return statuses.size() == 9; }, 5000));
   for (int i = 0; i < 9; ++i) {
@@ -188,10 +181,7 @@ TEST(MethodNotAllowed, ScriptedEndpointMethodsCountTowardAllow) {
   node::Client* c = h.UserClient("alice");
 
   // /app/jslog is installed by governance as a scripted POST endpoint.
-  http::Request r;
-  r.method = "GET";
-  r.path = "/app/jslog";
-  auto resp = c->Call(std::move(r));
+  auto resp = c->Get("/app/jslog");
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->status, 405);
   EXPECT_NE(resp->GetHeader("allow").find("POST"), std::string::npos)

@@ -47,10 +47,8 @@ ChaosResult RunHistoricalChaos(uint64_t seed) {
   // Some committed history to query.
   uint64_t last = 0;
   for (int i = 0; i < 15; ++i) {
-    json::Object body;
-    body["id"] = i % 3;
-    body["msg"] = "m" + std::to_string(i);
-    auto resp = client->PostJson("/app/log", json::Value(std::move(body)));
+    auto resp = client->PostJson("/app/log",
+                                 LogBody(i % 3, "m" + std::to_string(i)));
     if (!resp.ok() || resp->status != 200) {
       out.failure = "setup write failed";
       return out;

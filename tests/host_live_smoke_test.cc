@@ -9,17 +9,43 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "tests/live_harness.h"
 
 namespace ccf::testing {
 namespace {
 
-json::Value LogBody(uint64_t id, const std::string& msg) {
-  json::Object body;
-  body["id"] = id;
-  body["msg"] = msg;
-  return json::Value(std::move(body));
+// One request sequence through the simulator client and the TCP client:
+// both are ClientCore, so a caller sees the same statuses and bodies.
+std::vector<std::string> RunSequence(node::ClientCore* c) {
+  std::vector<std::string> out;
+  for (const Result<http::Response>& r :
+       {c->PostJson("/app/log", LogBody(1, "one")), c->Get("/app/log?id=1"),
+        c->Get("/app/log?id=2"), c->PostJson("/app/log", json::Value(7)),
+        c->Get("/app/no_such_endpoint"),
+        c->PostJsonSigned("/gov/propose", LogBody(3, "x"))}) {
+    out.push_back(r.ok() ? std::to_string(r->status) + " " + ToString(r->body)
+                         : r.status().ToString());
+  }
+  return out;
+}
+
+TEST(HostLiveSmoke, SimAndLiveClientsAgree) {
+  ServiceHarness sim;
+  sim.AddUser("alice");
+  ASSERT_NE(sim.StartGenesis(), nullptr);
+  LiveServiceHarness live;
+  live.AddUser("alice");
+  ASSERT_NE(live.StartGenesis(), nullptr);
+  ASSERT_NE(live.UserClient("alice"), nullptr);
+
+  std::vector<std::string> got = RunSequence(sim.UserClient("alice"));
+  EXPECT_EQ(got, RunSequence(live.UserClient("alice")));
+  std::vector<std::string> statuses;
+  for (const std::string& o : got) statuses.push_back(o.substr(0, 3));
+  EXPECT_EQ(statuses, (std::vector<std::string>{"200", "200", "404", "400",
+                                                "404", "401"}));
 }
 
 TEST(HostLiveSmoke, ThreeNodeWriteReadKillRecover) {

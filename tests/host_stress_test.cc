@@ -52,16 +52,11 @@ TEST(HostStress, ConnectRequestDisconnectChurn) {
         constexpr int kBurst = 5;
         std::atomic<int> got{0};
         for (int i = 0; i < kBurst; ++i) {
-          json::Object body;
-          body["id"] = static_cast<uint64_t>(100 + t);
-          body["msg"] = "r" + std::to_string(round) + "i" + std::to_string(i);
-          http::Request req;
-          req.method = "POST";
-          req.path = "/app/log";
-          req.headers["content-type"] = "application/json";
-          req.body = ToBytes(json::Value(std::move(body)).Dump());
-          client.SendRequest(std::move(req),
-                             [&](Result<http::Response> resp) {
+          std::string msg =
+              "r" + std::to_string(round) + "i" + std::to_string(i);
+          client.SendRequest(node::JsonPostRequest("/app/log",
+                                                   LogBody(100 + t, msg)),
+                             [&](const Result<http::Response>& resp) {
                                if (resp.ok() && resp->status == 200) {
                                  ok_responses.fetch_add(1);
                                  got.fetch_add(1);

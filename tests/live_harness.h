@@ -157,45 +157,15 @@ class LiveServiceHarness {
         timeout_ms);
   }
 
-  // Submits {actions: [{name, args}]} via a live member client and votes
-  // yes with a majority.
+  // Submits a proposal via live member clients and votes it through.
   bool RunProposal(const std::string& action, json::Value args,
                    uint64_t timeout_ms = 10000) {
-    json::Object act;
-    act["name"] = action;
-    act["args"] = std::move(args);
-    json::Object proposal;
-    proposal["actions"] = json::Array{json::Value(std::move(act))};
-    json::Object body;
-    body["proposal"] = std::move(proposal);
-
-    host::LiveClient* m0 = MemberClient(0, gov_node_);
-    if (m0 == nullptr) return false;
-    auto resp =
-        m0->PostJsonSigned("/gov/propose", json::Value(body), timeout_ms);
-    if (!resp.ok() || resp->status != 200) return false;
-    auto parsed = json::Parse(ToString(resp->body));
-    if (!parsed.ok()) return false;
-    std::string pid = parsed->GetString("proposal_id");
-    std::string state = parsed->GetString("state");
-
-    for (size_t i = 0; i < consortium_.members.size() && state == "Open";
-         ++i) {
-      json::Object ballot;
-      ballot["proposal_id"] = pid;
-      ballot["ballot"] =
-          "function vote(proposal, proposer_id) { return true; }";
-      host::LiveClient* m = MemberClient(i, gov_node_);
-      if (m == nullptr) return false;
-      auto vresp = m->PostJsonSigned("/gov/vote",
-                                     json::Value(std::move(ballot)),
-                                     timeout_ms);
-      if (!vresp.ok() || vresp->status != 200) return false;
-      auto vparsed = json::Parse(ToString(vresp->body));
-      if (!vparsed.ok()) return false;
-      state = vparsed->GetString("state");
-    }
-    return state == "Accepted";
+    return ProposeAndAccept(
+        consortium_.members.size(),
+        [this](size_t i) -> node::ClientCore* {
+          return MemberClient(i, gov_node_);
+        },
+        action, std::move(args), timeout_ms);
   }
 
   host::LiveNodeHost* host(const std::string& id) {
@@ -237,30 +207,16 @@ class LiveServiceHarness {
 
   host::LiveClient* UserClient(const std::string& user_id,
                                const std::string& node_id = "n0") {
-    std::string key = "client-" + user_id + "@" + node_id;
-    auto it = clients_.find(key);
-    if (it == clients_.end()) {
-      TestUser* user = users_.at(user_id).get();
-      auto client = std::make_unique<host::LiveClient>(
-          key, service_identity_, &user->key, user->cert);
-      if (!ConnectClient(client.get(), node_id)) return nullptr;
-      it = clients_.emplace(key, std::move(client)).first;
-    }
-    return it->second.get();
+    TestUser* user = users_.at(user_id).get();
+    return ClientFor("client-" + user_id + "@" + node_id, node_id,
+                     &user->key, user->cert);
   }
 
   host::LiveClient* MemberClient(size_t idx,
                                  const std::string& node_id = "n0") {
     auto& m = consortium_.members.at(idx);
-    std::string key = "client-" + m.id + "@" + node_id;
-    auto it = clients_.find(key);
-    if (it == clients_.end()) {
-      auto client = std::make_unique<host::LiveClient>(
-          key, service_identity_, &m.key, m.cert);
-      if (!ConnectClient(client.get(), node_id)) return nullptr;
-      it = clients_.emplace(key, std::move(client)).first;
-    }
-    return it->second.get();
+    return ClientFor("client-" + m.id + "@" + node_id, node_id, &m.key,
+                     m.cert);
   }
 
   void DropClients() { clients_.clear(); }
@@ -284,10 +240,20 @@ class LiveServiceHarness {
   }
 
  private:
-  bool ConnectClient(host::LiveClient* client, const std::string& node_id) {
+  // The cached client `name`; made and connected to `node_id` on first
+  // use (null if that fails).
+  host::LiveClient* ClientFor(const std::string& name,
+                              const std::string& node_id,
+                              const crypto::KeyPair* key,
+                              crypto::Certificate cert) {
+    auto it = clients_.find(name);
+    if (it != clients_.end()) return it->second.get();
     host::LiveNodeHost* h = host(node_id);
-    if (h == nullptr) return false;
-    return client->Connect("127.0.0.1", h->rpc_port()).ok();
+    if (h == nullptr) return nullptr;
+    auto client = std::make_unique<host::LiveClient>(name, service_identity_,
+                                                     key, std::move(cert));
+    if (!client->Connect("127.0.0.1", h->rpc_port()).ok()) return nullptr;
+    return clients_.emplace(name, std::move(client)).first->second.get();
   }
 
   Consortium consortium_;

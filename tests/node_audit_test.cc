@@ -20,10 +20,8 @@ std::pair<ledger::Ledger, crypto::PublicKeyBytes> BuildAuditedLedger() {
   node::Node* n0 = h.StartGenesis();
   node::Client* client = h.UserClient("user0");
   for (int i = 0; i < 12; ++i) {
-    json::Object msg;
-    msg["id"] = i;
-    msg["msg"] = "audit-" + std::to_string(i);
-    auto w = client->PostJson("/app/log", json::Value(std::move(msg)));
+    auto w = client->PostJson("/app/log",
+                              LogBody(i, "audit-" + std::to_string(i)));
     EXPECT_TRUE(w.ok() && w->status == 200);
   }
   json::Object args;

@@ -16,14 +16,6 @@
 namespace ccf::testing {
 namespace {
 
-bool Committed(ServiceHarness* h, uint64_t seqno) {
-  for (const std::string& id : {"n0", "n1", "n2"}) {
-    node::Node* n = h->node(id);
-    if (n == nullptr || n->commit_seqno() < seqno) return false;
-  }
-  return true;
-}
-
 TEST(NodeChannel, NearWrapCounterTriggersEpochRekey) {
   ServiceHarness h;
   h.AddUser("alice");
@@ -53,14 +45,11 @@ TEST(NodeChannel, NearWrapCounterTriggersEpochRekey) {
   // Consensus across the rekeyed channel still works: a write commits on
   // every node, meaning n1 decrypted epoch-1 traffic from n0.
   node::Client* c = h.UserClient("alice");
-  json::Object msg;
-  msg["id"] = 1;
-  msg["msg"] = "post-rekey";
-  auto w = c->PostJson("/app/log", json::Value(std::move(msg)), 3000);
+  auto w = c->PostJson("/app/log", LogBody(1, "post-rekey"), 3000);
   ASSERT_TRUE(w.ok());
   ASSERT_EQ(w->status, 200);
   uint64_t target = n0->last_seqno();
-  EXPECT_TRUE(h.env().RunUntil([&] { return Committed(&h, target); }, 5000));
+  EXPECT_TRUE(h.WaitForCommitEverywhere(target, 5000));
   EXPECT_EQ(n0->channel_send_epoch("n1"), 1u);
 }
 
@@ -77,10 +66,8 @@ TEST(NodeChannel, RepeatedRekeysSurviveContinuousLoad) {
     // Near-wrap both of the primary's channels mid-load.
     n0->TestForceChannelCounter("n1", node::Node::kChannelRekeyAt - 1);
     n0->TestForceChannelCounter("n2", node::Node::kChannelRekeyAt - 1);
-    json::Object msg;
-    msg["id"] = round;
-    msg["msg"] = "load-" + std::to_string(round);
-    auto w = c->PostJson("/app/log", json::Value(std::move(msg)), 3000);
+    auto w = c->PostJson("/app/log",
+                         LogBody(round, "load-" + std::to_string(round)), 3000);
     ASSERT_TRUE(w.ok());
     ASSERT_EQ(w->status, 200);
     h.env().Step(50);
@@ -92,7 +79,7 @@ TEST(NodeChannel, RepeatedRekeysSurviveContinuousLoad) {
   EXPECT_GE(n0->metrics().ScalarValue("channel.rekeys"), 6u);
 
   uint64_t target = n0->last_seqno();
-  EXPECT_TRUE(h.env().RunUntil([&] { return Committed(&h, target); }, 5000));
+  EXPECT_TRUE(h.WaitForCommitEverywhere(target, 5000));
 }
 
 }  // namespace

@@ -49,22 +49,6 @@ Collected Pipeline(ServiceHarness* h, node::Client* c,
   return out;
 }
 
-http::Request PostReq(const std::string& path, json::Object body) {
-  http::Request r;
-  r.method = "POST";
-  r.path = path;
-  r.body = ToBytes(json::Value(std::move(body)).Dump());
-  r.headers["content-type"] = "application/json";
-  return r;
-}
-
-http::Request GetReq(const std::string& path) {
-  http::Request r;
-  r.method = "GET";
-  r.path = path;
-  return r;
-}
-
 // Pipelined traffic actually batches: requests parsed from the inbox in
 // one drain pass execute as one batch, visible as exec.batches growing
 // slower than exec.requests.
@@ -78,10 +62,7 @@ TEST(NodeExecTest, PipelinedRequestsFormBatches) {
   node::Client* c = h.UserClient("alice");
 
   // Seed one message, then pipeline a read-heavy mix.
-  json::Object seedmsg;
-  seedmsg["id"] = 1;
-  seedmsg["msg"] = "hello";
-  auto w = c->PostJson("/app/log", json::Value(std::move(seedmsg)));
+  auto w = c->PostJson("/app/log", LogBody(1, "hello"));
   ASSERT_TRUE(w.ok());
   ASSERT_EQ(w->status, 200);
 
@@ -95,9 +76,9 @@ TEST(NodeExecTest, PipelinedRequestsFormBatches) {
       json::Object msg;
       msg["id"] = 10 + i;
       msg["msg"] = "m" + std::to_string(i);
-      reqs.push_back(PostReq("/app/log", std::move(msg)));
+      reqs.push_back(node::JsonPostRequest("/app/log", std::move(msg)));
     } else {
-      reqs.push_back(GetReq("/app/log?id=1"));
+      reqs.push_back(node::GetRequest("/app/log?id=1"));
     }
   }
   Collected got = Pipeline(&h, c, std::move(reqs));
@@ -115,9 +96,9 @@ TEST(NodeExecTest, PipelinedRequestsFormBatches) {
 
   // Read-only traffic never conflicts (it skips read-set validation).
   uint64_t conflicts = n0->metrics().ScalarValue("exec.conflicts");
-  Collected ro = Pipeline(&h, c, {GetReq("/app/log?id=1"),
-                                  GetReq("/app/hashread?id=1"),
-                                  GetReq("/app/count")});
+  Collected ro = Pipeline(&h, c, {node::GetRequest("/app/log?id=1"),
+                                  node::GetRequest("/app/hashread?id=1"),
+                                  node::GetRequest("/app/count")});
   ASSERT_EQ(ro.errors, 0u);
   for (int s : ro.statuses) EXPECT_EQ(s, 200);
   EXPECT_EQ(n0->metrics().ScalarValue("exec.conflicts"), conflicts);
@@ -143,7 +124,7 @@ TEST(NodeExecTest, ContendedRmwRetriesAndStaysExact) {
   for (int i = 0; i < kN; ++i) {
     json::Object body;
     body["id"] = 7;
-    reqs.push_back(PostReq("/app/rmw", std::move(body)));
+    reqs.push_back(node::JsonPostRequest("/app/rmw", std::move(body)));
   }
   Collected got = Pipeline(&h, c, std::move(reqs));
   ASSERT_EQ(got.errors, 0u);
@@ -201,20 +182,21 @@ TEST(NodeExecTest, ExecThreadsDoNotChangeResponses) {
           json::Object msg;
           msg["id"] = i;
           msg["msg"] = "det-" + std::to_string(i);
-          reqs.push_back(PostReq("/app/log", std::move(msg)));
+          reqs.push_back(node::JsonPostRequest("/app/log", std::move(msg)));
           break;
         }
         case 1: {
           json::Object body;
           body["id"] = i % 3;
-          reqs.push_back(PostReq("/app/rmw", std::move(body)));
+          reqs.push_back(node::JsonPostRequest("/app/rmw", std::move(body)));
           break;
         }
         case 2:
-          reqs.push_back(GetReq("/app/log?id=" + std::to_string(i - 2)));
+          reqs.push_back(
+              node::GetRequest("/app/log?id=" + std::to_string(i - 2)));
           break;
         default:
-          reqs.push_back(GetReq("/app/count"));
+          reqs.push_back(node::GetRequest("/app/count"));
       }
     }
     return Pipeline(hp, c, std::move(reqs));

@@ -15,22 +15,6 @@
 namespace ccf::testing {
 namespace {
 
-json::Value LogBody(uint64_t id, const std::string& msg) {
-  json::Object body;
-  body["id"] = id;
-  body["msg"] = msg;
-  return json::Value(std::move(body));
-}
-
-http::Request LogRequest(uint64_t id, const std::string& msg) {
-  http::Request req;
-  req.method = "POST";
-  req.path = "/app/log";
-  req.headers["content-type"] = "application/json";
-  req.body = ToBytes(LogBody(id, msg).Dump());
-  return req;
-}
-
 TEST(FlushPolicy, SizeTriggerFormsFixedBatches) {
   ServiceHarness h;
   h.AddUser("alice");
@@ -45,7 +29,8 @@ TEST(FlushPolicy, SizeTriggerFormsFixedBatches) {
   constexpr int kRequests = 10;
   int responses = 0;
   for (int i = 0; i < kRequests; ++i) {
-    alice->SendRequest(LogRequest(1, "m" + std::to_string(i)),
+    alice->SendRequest(node::JsonPostRequest(
+                           "/app/log", LogBody(1, "m" + std::to_string(i))),
                        [&](Result<http::Response> resp) {
                          ASSERT_TRUE(resp.ok());
                          EXPECT_EQ(resp->status, 200);
@@ -119,7 +104,8 @@ TEST(FlushPolicy, PolicyOnAndOffConverge) {
     int responses = 0;
     for (int i = 0; i < 17; ++i) {
       alice->SendRequest(
-          LogRequest(i % 3, "payload-" + std::to_string(i)),
+          node::JsonPostRequest(
+              "/app/log", LogBody(i % 3, "payload-" + std::to_string(i))),
           [&](Result<http::Response> resp) {
             EXPECT_TRUE(resp.ok() && resp->status == 200);
             ++responses;

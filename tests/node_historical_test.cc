@@ -19,10 +19,7 @@ namespace {
 
 // Writes `msg` under `id` via /app/log and returns the assigned seqno.
 uint64_t WriteLog(node::Client* client, int64_t id, const std::string& msg) {
-  json::Object body;
-  body["id"] = id;
-  body["msg"] = msg;
-  auto resp = client->PostJson("/app/log", json::Value(std::move(body)));
+  auto resp = client->PostJson("/app/log", LogBody(id, msg));
   EXPECT_TRUE(resp.ok()) << resp.status().ToString();
   EXPECT_EQ(resp->status, 200);
   auto txid = node::Client::TxIdOf(*resp);
@@ -323,18 +320,32 @@ TEST(HistoricalTelemetry, NodeEndpointExposesCounters) {
   ASSERT_TRUE(hist.ok());
   ASSERT_EQ(hist->status, 200);
 
-  auto resp = h.AnonymousClient()->Get("/node/historical");
+  // A tick publishes the gauges; then read them through the endpoint.
+  h.env().Step(5);
+  auto resp = h.AnonymousClient()->Get("/node/metrics");
   ASSERT_TRUE(resp.ok());
   ASSERT_EQ(resp->status, 200);
   auto body = json::Parse(ToString(resp->body));
   ASSERT_TRUE(body.ok());
-  EXPECT_GE(body->GetInt("cache_requests"), 1);
-  EXPECT_GE(body->GetInt("cache_fetches"), 1);
-  EXPECT_GE(body->GetInt("host_fetch_requests"), 1);
-  EXPECT_GE(body->GetInt("entries_verified"), 1);
-  EXPECT_GE(body->GetInt("receiptable_upto"), static_cast<int64_t>(last));
-  EXPECT_EQ(body->GetInt("index_lag"), 0);
-  EXPECT_GE(body->GetInt("indexed_upto"), static_cast<int64_t>(last));
+  const json::Value* metrics = body->Get("metrics");
+  ASSERT_NE(metrics, nullptr);
+  const json::Value* counters = metrics->Get("counters");
+  const json::Value* gauges = metrics->Get("gauges");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_NE(gauges, nullptr);
+  auto gauge = [&](const char* name) -> int64_t {
+    const json::Value* g = gauges->Get(name);
+    return g != nullptr ? g->GetInt("value") : -1;
+  };
+  EXPECT_GE(gauge("historical.cache.requests"), 1);
+  EXPECT_GE(gauge("historical.cache.fetches"), 1);
+  EXPECT_GE(gauge("historical.cache.cached_requests"), 1);
+  EXPECT_GE(counters->GetInt("historical.host_fetch_requests"), 1);
+  EXPECT_GE(counters->GetInt("historical.entries_verified"), 1);
+  EXPECT_GE(gauge("receipt.receiptable_upto"), static_cast<int64_t>(last));
+  EXPECT_EQ(gauge("index.lag"), 0);
+  EXPECT_GE(gauge("index.upto"), static_cast<int64_t>(last));
+  EXPECT_GE(gauge("index.entries_fed"), 1);
 }
 
 // TTL: an untouched cached range expires and is dropped, freeing space.

@@ -16,10 +16,7 @@ TEST(SingleNodeService, WriteAndReadViaClient) {
   ASSERT_TRUE(n0->IsPrimary());
 
   node::Client* client = h.UserClient("user0");
-  json::Object msg;
-  msg["id"] = 42;
-  msg["msg"] = "hello ledger";
-  auto write = client->PostJson("/app/log", json::Value(std::move(msg)));
+  auto write = client->PostJson("/app/log", LogBody(42, "hello ledger"));
   ASSERT_TRUE(write.ok()) << write.status().ToString();
   EXPECT_EQ(write->status, 200);
   auto txid = node::Client::TxIdOf(*write);
@@ -40,10 +37,7 @@ TEST(SingleNodeService, TxStatusReachesCommitted) {
   h.StartGenesis();
   node::Client* client = h.UserClient("user0");
 
-  json::Object msg;
-  msg["id"] = 1;
-  msg["msg"] = "status check";
-  auto write = client->PostJson("/app/log", json::Value(std::move(msg)));
+  auto write = client->PostJson("/app/log", LogBody(1, "status check"));
   ASSERT_TRUE(write.ok());
   auto txid = node::Client::TxIdOf(*write);
   ASSERT_TRUE(txid.has_value());
@@ -71,10 +65,7 @@ TEST(SingleNodeService, ReceiptVerifiesOffline) {
   node::Node* n0 = h.StartGenesis();
   node::Client* client = h.UserClient("user0");
 
-  json::Object msg;
-  msg["id"] = 7;
-  msg["msg"] = "receipt me";
-  auto write = client->PostJson("/app/log", json::Value(std::move(msg)));
+  auto write = client->PostJson("/app/log", LogBody(7, "receipt me"));
   ASSERT_TRUE(write.ok());
   auto txid = node::Client::TxIdOf(*write);
   ASSERT_TRUE(txid.has_value());
@@ -107,10 +98,7 @@ TEST(SingleNodeService, UnregisteredUserRejected) {
   h.AddUser("user0");
   h.StartGenesis();
   node::Client* anon = h.AnonymousClient();
-  json::Object msg;
-  msg["id"] = 1;
-  msg["msg"] = "sneaky";
-  auto write = anon->PostJson("/app/log", json::Value(std::move(msg)));
+  auto write = anon->PostJson("/app/log", LogBody(1, "sneaky"));
   ASSERT_TRUE(write.ok());
   EXPECT_EQ(write->status, 401);
 }
@@ -120,10 +108,7 @@ TEST(SingleNodeService, ServiceNotOpenBlocksUsers) {
   h.AddUser("user0");
   h.StartGenesis(/*open_immediately=*/false);
   node::Client* client = h.UserClient("user0");
-  json::Object msg;
-  msg["id"] = 1;
-  msg["msg"] = "early";
-  auto write = client->PostJson("/app/log", json::Value(std::move(msg)));
+  auto write = client->PostJson("/app/log", LogBody(1, "early"));
   ASSERT_TRUE(write.ok());
   EXPECT_EQ(write->status, 503);
 
@@ -149,10 +134,7 @@ TEST(Governance, AddUserViaProposal) {
   ASSERT_TRUE(h.RunProposal("set_user", json::Value(std::move(args))));
 
   node::Client* client = h.UserClient("newbie");
-  json::Object msg;
-  msg["id"] = 5;
-  msg["msg"] = "i exist now";
-  auto write = client->PostJson("/app/log", json::Value(std::move(msg)));
+  auto write = client->PostJson("/app/log", LogBody(5, "i exist now"));
   ASSERT_TRUE(write.ok());
   EXPECT_EQ(write->status, 200);
 }
@@ -192,10 +174,7 @@ TEST(MultiNodeService, JoinAndTrustGrowsCluster) {
 
   // All three nodes are in the configuration and share the ledger.
   node::Client* client = h.UserClient("user0");
-  json::Object msg;
-  msg["id"] = 100;
-  msg["msg"] = "replicated";
-  auto write = client->PostJson("/app/log", json::Value(std::move(msg)));
+  auto write = client->PostJson("/app/log", LogBody(100, "replicated"));
   ASSERT_TRUE(write.ok());
   ASSERT_EQ(write->status, 200);
   auto txid = node::Client::TxIdOf(*write);
@@ -214,10 +193,7 @@ TEST(MultiNodeService, ReadsServedByBackupWritesForwarded) {
 
   // Write via n0 (primary), read via n1 (backup, served locally).
   node::Client* writer = h.UserClient("user0", "n0");
-  json::Object msg;
-  msg["id"] = 9;
-  msg["msg"] = "from backup";
-  ASSERT_TRUE(writer->PostJson("/app/log", json::Value(std::move(msg))).ok());
+  ASSERT_TRUE(writer->PostJson("/app/log", LogBody(9, "from backup")).ok());
   ASSERT_TRUE(h.WaitForCommitEverywhere(h.node("n0")->last_seqno()));
 
   node::Client* reader = h.UserClient("user0", "n1");
@@ -226,10 +202,7 @@ TEST(MultiNodeService, ReadsServedByBackupWritesForwarded) {
   EXPECT_EQ(read->status, 200);
 
   // Write via the backup: forwarded to the primary (paper §4.3).
-  json::Object msg2;
-  msg2["id"] = 10;
-  msg2["msg"] = "forwarded";
-  auto write2 = reader->PostJson("/app/log", json::Value(std::move(msg2)));
+  auto write2 = reader->PostJson("/app/log", LogBody(10, "forwarded"));
   ASSERT_TRUE(write2.ok()) << write2.status().ToString();
   EXPECT_EQ(write2->status, 200);
   EXPECT_TRUE(node::Client::TxIdOf(*write2).has_value());
@@ -258,10 +231,7 @@ TEST(MultiNodeService, FailoverContinuesService) {
 
   // The service keeps accepting writes through the new primary.
   node::Client* client = h.UserClient("user0", new_primary->id());
-  json::Object msg;
-  msg["id"] = 77;
-  msg["msg"] = "after failover";
-  auto write = client->PostJson("/app/log", json::Value(std::move(msg)));
+  auto write = client->PostJson("/app/log", LogBody(77, "after failover"));
   ASSERT_TRUE(write.ok()) << write.status().ToString();
   EXPECT_EQ(write->status, 200);
 }
@@ -288,10 +258,7 @@ TEST(MultiNodeService, NodeRetirement) {
   EXPECT_EQ(j->GetString("status"), "Retired");
   // Remaining two nodes still serve writes.
   node::Client* client = h.UserClient("user0");
-  json::Object msg;
-  msg["id"] = 1;
-  msg["msg"] = "post-retirement";
-  auto write = client->PostJson("/app/log", json::Value(std::move(msg)));
+  auto write = client->PostJson("/app/log", LogBody(1, "post-retirement"));
   ASSERT_TRUE(write.ok());
   EXPECT_EQ(write->status, 200);
 }
@@ -303,10 +270,7 @@ TEST(MultiNodeService, JoinerStartsFromSnapshot) {
   node::Client* client = h.UserClient("user0");
   // Enough transactions to pass the snapshot interval (50).
   for (int i = 0; i < 60; ++i) {
-    json::Object msg;
-    msg["id"] = i;
-    msg["msg"] = "bulk";
-    ASSERT_TRUE(client->PostJson("/app/log", json::Value(std::move(msg))).ok());
+    ASSERT_TRUE(client->PostJson("/app/log", LogBody(i, "bulk")).ok());
   }
   ASSERT_TRUE(h.WaitForCommitEverywhere(n0->last_seqno()));
   // Joiners take state only from a verified bundle; wait until the
@@ -338,10 +302,7 @@ TEST(ScriptedApp, InstallAndInvokeViaGovernance) {
   ASSERT_TRUE(h.RunProposal("set_js_app", json::Value(std::move(args))));
 
   node::Client* client = h.UserClient("user0");
-  json::Object msg;
-  msg["id"] = 3;
-  msg["msg"] = "scripted hello";
-  auto write = client->PostJson("/app/jslog", json::Value(std::move(msg)));
+  auto write = client->PostJson("/app/jslog", LogBody(3, "scripted hello"));
   ASSERT_TRUE(write.ok());
   ASSERT_EQ(write->status, 200) << ToString(write->body);
   EXPECT_TRUE(node::Client::TxIdOf(*write).has_value());
@@ -369,10 +330,8 @@ TEST(Confidentiality, PrivateWritesAreEncryptedOnLedger) {
   h.AddUser("user0");
   node::Node* n0 = h.StartGenesis();
   node::Client* client = h.UserClient("user0");
-  json::Object msg;
-  msg["id"] = 1;
-  msg["msg"] = "TOPSECRET-PAYLOAD";
-  ASSERT_TRUE(client->PostJson("/app/log", json::Value(std::move(msg))).ok());
+  ASSERT_TRUE(client->PostJson("/app/log",
+                               LogBody(1, "TOPSECRET-PAYLOAD")).ok());
 
   // Scan raw ledger bytes: the secret must not appear anywhere.
   std::string needle = "TOPSECRET-PAYLOAD";
@@ -384,11 +343,8 @@ TEST(Confidentiality, PrivateWritesAreEncryptedOnLedger) {
   EXPECT_FALSE(found);
 
   // Whereas a public-map write is visible (audit without decryption).
-  json::Object pub;
-  pub["id"] = 2;
-  pub["msg"] = "PUBLIC-PAYLOAD";
   ASSERT_TRUE(
-      client->PostJson("/app/log_public", json::Value(std::move(pub))).ok());
+      client->PostJson("/app/log_public", LogBody(2, "PUBLIC-PAYLOAD")).ok());
   bool found_public = false;
   for (const ledger::Entry& e : n0->host_ledger().entries()) {
     if (ToString(e.public_ws).find("PUBLIC-PAYLOAD") != std::string::npos) {

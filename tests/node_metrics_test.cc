@@ -1,7 +1,7 @@
 // Telemetry endpoint tests ("observe" label): GET /node/metrics JSON and
 // Prometheus exposition after a scripted workload, monotonicity across
-// further load, and agreement between the legacy alias endpoints
-// (/node/crypto_ops, /node/historical) and the unified registry.
+// further load, and agreement between the registry, the per-tick gauges
+// and the node's struct accessors.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@ namespace {
 bool AllQuiesced(ServiceHarness* h) {
   uint64_t last = 0;
   bool first = true;
-  for (const std::string& id : {"n0", "n1", "n2"}) {
+  for (const char* id : {"n0", "n1", "n2"}) {
     node::Node* n = h->node(id);
     if (n == nullptr || !n->has_joined()) return false;
     if (first) {
@@ -40,10 +40,9 @@ class NodeMetricsTest : public ::testing::Test {
   void Workload(int n, int base = 0) {
     node::Client* c = h_.UserClient("alice");
     for (int i = 0; i < n; ++i) {
-      json::Object msg;
-      msg["id"] = base + i;
-      msg["msg"] = "entry-" + std::to_string(base + i);
-      auto w = c->PostJson("/app/log", json::Value(std::move(msg)), 3000);
+      auto w = c->PostJson(
+          "/app/log", LogBody(base + i, "entry-" + std::to_string(base + i)),
+          3000);
       ASSERT_TRUE(w.ok());
       ASSERT_EQ(w->status, 200);
     }
@@ -168,37 +167,39 @@ TEST_F(NodeMetricsTest, PrometheusExposition) {
   EXPECT_NE(body.find("ccf_crypto_signs"), std::string::npos);
 }
 
-TEST_F(NodeMetricsTest, AliasEndpointsMatchRegistry) {
+// Tree and worker state reaches the registry as per-tick gauges; the
+// crypto_ops()/historical_counters() structs are snapshots of registry
+// counters.
+TEST_F(NodeMetricsTest, AccessorsAndTickGaugesMatchRegistry) {
   Workload(5);
   node::Node* n0 = h_.node("n0");
-  node::Client* c = h_.AnonymousClient();
+  json::Value body = FetchMetrics();
+  const json::Value* counters = body.Get("metrics")->Get("counters");
+  const json::Value* gauges = body.Get("metrics")->Get("gauges");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_NE(gauges, nullptr);
+  auto gauge = [&](const char* name) -> int64_t {
+    const json::Value* g = gauges->Get(name);
+    return g != nullptr ? g->GetInt("value") : -1;
+  };
 
-  auto ops_resp = c->Get("/node/crypto_ops", 3000);
-  ASSERT_TRUE(ops_resp.ok());
-  ASSERT_EQ(ops_resp->status, 200);
-  auto ops = json::Parse(ToString(ops_resp->body));
-  ASSERT_TRUE(ops.ok());
-  EXPECT_EQ(static_cast<uint64_t>(ops->GetInt("signs")),
-            n0->metrics().ScalarValue("crypto.signs"));
-  EXPECT_EQ(static_cast<uint64_t>(ops->GetInt("verifies_single")),
-            n0->metrics().ScalarValue("crypto.verifies_single"));
-  EXPECT_EQ(static_cast<uint64_t>(ops->GetInt("verify_failures")),
-            n0->metrics().ScalarValue("crypto.verify_failures"));
-  // The struct snapshot accessor agrees too (the migration kept it).
-  EXPECT_EQ(static_cast<uint64_t>(ops->GetInt("signs")),
+  EXPECT_EQ(static_cast<uint64_t>(counters->GetInt("crypto.signs")),
             n0->crypto_ops().signs);
+  EXPECT_EQ(static_cast<uint64_t>(counters->GetInt("crypto.verify_failures")),
+            n0->crypto_ops().verify_failures);
+  EXPECT_EQ(
+      static_cast<uint64_t>(counters->GetInt("historical.entries_rejected")),
+      n0->historical_counters().entries_rejected);
 
-  auto hist_resp = c->Get("/node/historical", 3000);
-  ASSERT_TRUE(hist_resp.ok());
-  ASSERT_EQ(hist_resp->status, 200);
-  auto hist = json::Parse(ToString(hist_resp->body));
-  ASSERT_TRUE(hist.ok());
-  EXPECT_EQ(static_cast<uint64_t>(hist->GetInt("host_fetch_requests")),
-            n0->metrics().ScalarValue("historical.host_fetch_requests"));
-  EXPECT_EQ(static_cast<uint64_t>(hist->GetInt("entries_verified")),
-            n0->metrics().ScalarValue("historical.entries_verified"));
-  EXPECT_EQ(static_cast<uint64_t>(hist->GetInt("entries_rejected")),
-            n0->historical_counters().entries_rejected);
+  const merkle::MerkleTree::Stats& ts = n0->tree().stats();
+  EXPECT_GT(ts.leaf_hashes, 0u);
+  EXPECT_EQ(gauge("merkle.leaf_hashes"), static_cast<int64_t>(ts.leaf_hashes));
+  EXPECT_EQ(gauge("merkle.interior_hashes"),
+            static_cast<int64_t>(ts.interior_hashes));
+  EXPECT_EQ(gauge("merkle.batched_leaves"),
+            static_cast<int64_t>(ts.batched_leaves));
+  EXPECT_EQ(gauge("tee.worker.threads"), 0);  // default: synchronous pool
+  EXPECT_GT(gauge("receipt.receiptable_upto"), 0);
 }
 
 }  // namespace

@@ -36,10 +36,7 @@ class TempDir {
 
 uint64_t WriteLog(node::Client* client, const char* path, int64_t id,
                   const std::string& msg) {
-  json::Object body;
-  body["id"] = id;
-  body["msg"] = msg;
-  auto resp = client->PostJson(path, json::Value(std::move(body)));
+  auto resp = client->PostJson(path, LogBody(id, msg));
   EXPECT_TRUE(resp.ok()) << resp.status().ToString();
   EXPECT_EQ(resp->status, 200);
   auto txid = node::Client::TxIdOf(*resp);
@@ -422,26 +419,7 @@ TEST(SnapshotRecovery, RecoveryFromRetiredLedgerUsesVerifiedBundle) {
 
   // Members submit shares; private state below the horizon comes from the
   // bundle's sealed half, above it from suffix replay.
-  auto& members = h.consortium().members;
-  bool recovered_flag = false;
-  for (size_t i = 0; i < members.size() && !recovered_flag; ++i) {
-    auto share = r0->ExtractRecoveryShare(members[i].id, members[i].key);
-    ASSERT_TRUE(share.ok()) << share.status().ToString();
-    node::Client mc("rec-member-" + members[i].id, &h.env(),
-                    r0->service_identity(), &members[i].key,
-                    members[i].cert);
-    mc.Connect("r0");
-    json::Object body;
-    body["share"] = HexEncode(*share);
-    auto resp = mc.PostJsonSigned("/gov/recovery_share",
-                                  json::Value(std::move(body)));
-    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-    ASSERT_EQ(resp->status, 200) << ToString(resp->body);
-    auto parsed = json::Parse(ToString(resp->body));
-    ASSERT_TRUE(parsed.ok());
-    recovered_flag = parsed->GetBool("recovered");
-  }
-  ASSERT_TRUE(recovered_flag);
+  ASSERT_GT(SubmitRecoveryShares(&h.env(), r0, h.consortium()), 0u);
   ASSERT_TRUE(h.env().RunUntil(
       [&] {
         return r0->store()
@@ -482,28 +460,7 @@ node::Node* RecoverService(ServiceHarness* h, int writes) {
                r0->service_status() == gov::ServiceStatus::kRecovering;
       },
       8000));
-  auto& members = h->consortium().members;
-  bool recovered = false;
-  for (size_t i = 0; i < members.size() && !recovered; ++i) {
-    auto share = r0->ExtractRecoveryShare(members[i].id, members[i].key);
-    EXPECT_TRUE(share.ok()) << share.status().ToString();
-    if (!share.ok()) break;
-    node::Client mc("rec-member-" + members[i].id, &h->env(),
-                    r0->service_identity(), &members[i].key,
-                    members[i].cert);
-    mc.Connect("r0");
-    json::Object body;
-    body["share"] = HexEncode(*share);
-    auto resp = mc.PostJsonSigned("/gov/recovery_share",
-                                  json::Value(std::move(body)));
-    EXPECT_TRUE(resp.ok()) << resp.status().ToString();
-    if (!resp.ok()) break;
-    EXPECT_EQ(resp->status, 200) << ToString(resp->body);
-    auto parsed = json::Parse(ToString(resp->body));
-    EXPECT_TRUE(parsed.ok());
-    recovered = parsed.ok() && parsed->GetBool("recovered");
-  }
-  EXPECT_TRUE(recovered);
+  EXPECT_GT(SubmitRecoveryShares(&h->env(), r0, h->consortium()), 0u);
   return r0;
 }
 

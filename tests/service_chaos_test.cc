@@ -174,10 +174,8 @@ TEST(ServiceChaosOffload, AsyncModeStaysCorrect) {
   node::Client* c = h.UserClient("alice");
   std::optional<std::pair<uint64_t, uint64_t>> txid;
   for (int i = 0; i < 20; ++i) {
-    json::Object msg;
-    msg["id"] = i;
-    msg["msg"] = "async-" + std::to_string(i);
-    auto w = c->PostJson("/app/log", json::Value(std::move(msg)), 5000);
+    auto w = c->PostJson("/app/log",
+                         LogBody(i, "async-" + std::to_string(i)), 5000);
     ASSERT_TRUE(w.ok());
     ASSERT_EQ(w->status, 200);
     if (i == 10) txid = node::Client::TxIdOf(*w);
@@ -233,10 +231,8 @@ TEST(ServiceChaos, CrashRestartLedgerReplayMatchesSurvivors) {
 
   node::Client* c = h.UserClient("alice");
   for (int i = 0; i < 12; ++i) {
-    json::Object msg;
-    msg["id"] = i;
-    msg["msg"] = "durable-" + std::to_string(i);
-    auto w = c->PostJson("/app/log", json::Value(std::move(msg)));
+    auto w = c->PostJson("/app/log",
+                         LogBody(i, "durable-" + std::to_string(i)));
     ASSERT_TRUE(w.ok());
     ASSERT_EQ(w->status, 200);
   }
@@ -296,10 +292,8 @@ TEST(ServiceChaos, JoinerAfterChaosConverges) {
 
   node::Client* c = h.UserClient("alice");
   for (int i = 0; i < 8; ++i) {
-    json::Object msg;
-    msg["id"] = i;
-    msg["msg"] = "m" + std::to_string(i);
-    ASSERT_TRUE(c->PostJson("/app/log", json::Value(std::move(msg))).ok());
+    ASSERT_TRUE(c->PostJson("/app/log",
+                            LogBody(i, "m" + std::to_string(i))).ok());
   }
 
   // A brief fault episode among the nodes.
@@ -315,10 +309,7 @@ TEST(ServiceChaos, JoinerAfterChaosConverges) {
   ASSERT_TRUE(h.env().RunUntil([&] { return h.Primary() != nullptr; },
                                10000));
   c = h.UserClient("alice");
-  json::Object msg;
-  msg["id"] = 100;
-  msg["msg"] = "post-chaos";
-  auto w = c->PostJson("/app/log", json::Value(std::move(msg)), 5000);
+  auto w = c->PostJson("/app/log", LogBody(100, "post-chaos"), 5000);
   ASSERT_TRUE(w.ok());
   ASSERT_EQ(w->status, 200);
   ASSERT_TRUE(h.env().RunUntil([&] { return Quiesced(&h); }, 5000));
@@ -328,10 +319,7 @@ TEST(ServiceChaos, JoinerAfterChaosConverges) {
   ASSERT_NE(n3, nullptr);
   h.TrackNode("n3");
 
-  json::Object msg2;
-  msg2["id"] = 101;
-  msg2["msg"] = "with-joiner";
-  auto w2 = c->PostJson("/app/log", json::Value(std::move(msg2)), 5000);
+  auto w2 = c->PostJson("/app/log", LogBody(101, "with-joiner"), 5000);
   ASSERT_TRUE(w2.ok());
   ASSERT_EQ(w2->status, 200);
 

@@ -114,10 +114,8 @@ inline ChaosOutcome RunServiceChaos(uint64_t seed, uint64_t worker_threads = 0,
   {
     node::Client* c = h.UserClient("alice");
     for (int i = 0; i < 4; ++i) {
-      json::Object msg;
-      msg["id"] = i;
-      msg["msg"] = "pre-chaos-" + std::to_string(i);
-      auto w = c->PostJson("/app/log", json::Value(std::move(msg)), 3000);
+      auto w = c->PostJson(
+          "/app/log", LogBody(i, "pre-chaos-" + std::to_string(i)), 3000);
       if (!w.ok() || w->status != 200) {
         out.failure = "baseline write failed";
         return out;
@@ -184,10 +182,9 @@ inline ChaosOutcome RunServiceChaos(uint64_t seed, uint64_t worker_threads = 0,
     // Offer load; failures under faults are expected and ignored.
     if (h.env().IsUp("n0") && h.Primary() != nullptr) {
       node::Client* c = h.UserClient("alice");
-      json::Object msg;
-      msg["id"] = 100 + written;
-      msg["msg"] = "chaos-" + std::to_string(written);
-      auto w = c->PostJson("/app/log", json::Value(std::move(msg)), 300);
+      auto w = c->PostJson(
+          "/app/log",
+          LogBody(100 + written, "chaos-" + std::to_string(written)), 300);
       if (w.ok() && w->status == 200) ++written;
     }
     h.env().Step(40);
@@ -225,10 +222,7 @@ inline ChaosOutcome RunServiceChaos(uint64_t seed, uint64_t worker_threads = 0,
       continue;
     }
     node::Client* c = h.UserClient("alice");
-    json::Object msg;
-    msg["id"] = 1000 + attempt;
-    msg["msg"] = "converge";
-    auto w = c->PostJson("/app/log", json::Value(std::move(msg)), 3000);
+    auto w = c->PostJson("/app/log", LogBody(1000 + attempt, "converge"), 3000);
     if (!w.ok() || w->status != 200) {
       h.env().Step(200);
       continue;

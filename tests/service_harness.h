@@ -4,11 +4,14 @@
 #ifndef CCF_TESTS_SERVICE_HARNESS_H_
 #define CCF_TESTS_SERVICE_HARNESS_H_
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/hex.h"
 #include "gov/records.h"
 #include "kv/snapshot.h"
 #include "node/client.h"
@@ -73,6 +76,71 @@ struct TestUser {
         cert(crypto::IssueCertificate(id, "user", key.public_key(), key, "")) {
   }
 };
+
+// The logging app's write body: {"id": id, "msg": msg}.
+inline json::Value LogBody(uint64_t id, const std::string& msg) {
+  json::Object body;
+  body["id"] = id;
+  body["msg"] = msg;
+  return json::Value(std::move(body));
+}
+
+// Submits {actions: [{name, args}]} as member 0 and votes yes with each
+// member in turn until the proposal is accepted. `member(i)` is member i's
+// client; a null client fails the flow.
+inline bool ProposeAndAccept(
+    size_t num_members,
+    const std::function<node::ClientCore*(size_t)>& member,
+    const std::string& action, json::Value args, uint64_t timeout_ms) {
+  // Member i's signed POST, parsed; null unless it answered 200 + JSON.
+  auto post = [&](size_t i, const std::string& path, json::Object body) {
+    node::ClientCore* c = member(i);
+    if (c == nullptr) return json::Value();
+    auto resp = c->PostJsonSigned(path, body, timeout_ms);
+    if (!resp.ok() || resp->status != 200) return json::Value();
+    auto parsed = json::Parse(ToString(resp->body));
+    return parsed.ok() ? std::move(*parsed) : json::Value();
+  };
+  json::Object act{{"name", action}, {"args", std::move(args)}};
+  json::Object proposal{{"actions", json::Array{json::Value(std::move(act))}}};
+  json::Value proposed =
+      post(0, "/gov/propose", {{"proposal", std::move(proposal)}});
+  std::string pid = proposed.GetString("proposal_id");
+  std::string state = proposed.GetString("state");
+  for (size_t i = 0; i < num_members && state == "Open"; ++i) {
+    state = post(i, "/gov/vote",
+                 {{"proposal_id", pid},
+                  {"ballot",
+                   "function vote(proposal, proposer_id) { return true; }"}})
+                .GetString("state");
+  }
+  return state == "Accepted";
+}
+
+// Members submit their recovery shares to recovering node `r` (paper
+// §5.2), pinning its new identity, one at a time until it reports the
+// private state recovered. Returns how many shares that took; 0 if a
+// submission failed or the shares ran out first.
+inline size_t SubmitRecoveryShares(sim::Environment* env, node::Node* r,
+                                   const Consortium& consortium) {
+  for (size_t i = 0; i < consortium.members.size(); ++i) {
+    const Consortium::Member& m = consortium.members[i];
+    auto share = r->ExtractRecoveryShare(m.id, m.key);
+    if (!share.ok()) return 0;
+    node::Client client("recovery-" + m.id, env, r->service_identity(),
+                        &m.key, m.cert);
+    client.Connect(r->id());
+    json::Object body;
+    body["share"] = HexEncode(*share);
+    auto resp = client.PostJsonSigned("/gov/recovery_share",
+                                      json::Value(std::move(body)));
+    if (!resp.ok() || resp->status != 200) return 0;
+    auto parsed = json::Parse(ToString(resp->body));
+    if (!parsed.ok()) return 0;
+    if (parsed->GetBool("recovered")) return i + 1;
+  }
+  return 0;
+}
 
 // A full service under simulation: nodes, consortium, users, clients.
 class ServiceHarness {
@@ -173,42 +241,13 @@ class ServiceHarness {
         timeout_ms);
   }
 
-  // Submits {actions: [{name, args}]} to node `via` and votes yes with a
-  // majority. Returns true if accepted.
+  // Submits a proposal through node `via` and votes it through.
   bool RunProposal(const std::string& action, json::Value args,
                    uint64_t timeout_ms = 8000, const std::string& via = "n0") {
-    json::Object act;
-    act["name"] = action;
-    act["args"] = std::move(args);
-    json::Object proposal;
-    proposal["actions"] = json::Array{json::Value(std::move(act))};
-    json::Object body;
-    body["proposal"] = std::move(proposal);
-
-    node::Client* m0 = MemberClient(0, via);
-    auto resp = m0->PostJsonSigned("/gov/propose", json::Value(body),
-                                   timeout_ms);
-    if (!resp.ok() || resp->status != 200) return false;
-    auto parsed = json::Parse(ToString(resp->body));
-    if (!parsed.ok()) return false;
-    std::string pid = parsed->GetString("proposal_id");
-    std::string state = parsed->GetString("state");
-
-    // Vote with members until accepted.
-    for (size_t i = 0; i < consortium_.members.size() && state == "Open";
-         ++i) {
-      json::Object ballot;
-      ballot["proposal_id"] = pid;
-      ballot["ballot"] =
-          "function vote(proposal, proposer_id) { return true; }";
-      auto vresp = MemberClient(i, via)->PostJsonSigned(
-          "/gov/vote", json::Value(std::move(ballot)), timeout_ms);
-      if (!vresp.ok() || vresp->status != 200) return false;
-      auto vparsed = json::Parse(ToString(vresp->body));
-      if (!vparsed.ok()) return false;
-      state = vparsed->GetString("state");
-    }
-    return state == "Accepted";
+    return ProposeAndAccept(
+        consortium_.members.size(),
+        [&](size_t i) -> node::ClientCore* { return MemberClient(i, via); },
+        action, std::move(args), timeout_ms);
   }
 
   node::Node* node(const std::string& id) {
@@ -233,41 +272,20 @@ class ServiceHarness {
   // A client for user `id`, connected to `node_id`.
   node::Client* UserClient(const std::string& user_id,
                            const std::string& node_id = "n0") {
-    std::string key = "client-" + user_id + "@" + node_id;
-    auto it = clients_.find(key);
-    if (it == clients_.end()) {
-      TestUser* user = users_.at(user_id).get();
-      auto client = std::make_unique<node::Client>(
-          key, &env_, IdentityOf(node_id), &user->key, user->cert);
-      client->Connect(node_id);
-      it = clients_.emplace(key, std::move(client)).first;
-    }
-    return it->second.get();
+    TestUser* user = users_.at(user_id).get();
+    return ClientFor("client-" + user_id + "@" + node_id, node_id,
+                     &user->key, user->cert);
   }
 
   node::Client* MemberClient(size_t idx, const std::string& node_id = "n0") {
     auto& m = consortium_.members.at(idx);
-    std::string key = "client-" + m.id + "@" + node_id;
-    auto it = clients_.find(key);
-    if (it == clients_.end()) {
-      auto client = std::make_unique<node::Client>(
-          key, &env_, IdentityOf(node_id), &m.key, m.cert);
-      client->Connect(node_id);
-      it = clients_.emplace(key, std::move(client)).first;
-    }
-    return it->second.get();
+    return ClientFor("client-" + m.id + "@" + node_id, node_id, &m.key,
+                     m.cert);
   }
 
   node::Client* AnonymousClient(const std::string& node_id = "n0") {
-    std::string key = "client-anon@" + node_id;
-    auto it = clients_.find(key);
-    if (it == clients_.end()) {
-      auto client =
-          std::make_unique<node::Client>(key, &env_, IdentityOf(node_id));
-      client->Connect(node_id);
-      it = clients_.emplace(key, std::move(client)).first;
-    }
-    return it->second.get();
+    return ClientFor("client-anon@" + node_id, node_id, nullptr,
+                     std::nullopt);
   }
 
   void DropClients() { clients_.clear(); }
@@ -324,6 +342,19 @@ class ServiceHarness {
   }
 
  private:
+  // The cached client `name`, connected to `node_id` when first made.
+  node::Client* ClientFor(const std::string& name, const std::string& node_id,
+                          const crypto::KeyPair* key,
+                          std::optional<crypto::Certificate> cert) {
+    std::unique_ptr<node::Client>& client = clients_[name];
+    if (client == nullptr) {
+      client = std::make_unique<node::Client>(name, &env_, IdentityOf(node_id),
+                                              key, std::move(cert));
+      client->Connect(node_id);
+    }
+    return client.get();
+  }
+
   // The service identity node `id` pins (a recovered service has a new
   // one); n0's for a node not created yet.
   crypto::PublicKeyBytes IdentityOf(const std::string& id) {

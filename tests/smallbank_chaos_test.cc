@@ -34,15 +34,6 @@ struct SbOutcome {
   Bytes final_state;
 };
 
-http::Request SbPost(const std::string& path, json::Object body) {
-  http::Request r;
-  r.method = "POST";
-  r.path = path;
-  r.body = ToBytes(json::Value(std::move(body)).Dump());
-  r.headers["content-type"] = "application/json";
-  return r;
-}
-
 // Draws the classic SmallBank transaction mix with Zipfian-hot accounts.
 // Consuming the DRBG identically on every run makes the request sequence
 // a pure function of the seed.
@@ -56,39 +47,35 @@ http::Request DrawRequest(crypto::Drbg* drbg,
       json::Object body;
       body["account"] = a;
       body["amount"] = (drbg->Uniform(2) == 0) ? amount : -amount;
-      return SbPost("/app/sb/transact_savings", std::move(body));
+      return node::JsonPostRequest("/app/sb/transact_savings", std::move(body));
     }
     case 1: {
       json::Object body;
       body["account"] = a;
       body["amount"] = amount;
-      return SbPost("/app/sb/deposit_checking", std::move(body));
+      return node::JsonPostRequest("/app/sb/deposit_checking", std::move(body));
     }
     case 2: {
       json::Object body;
       body["from"] = a;
       body["to"] = b;
       body["amount"] = amount;
-      return SbPost("/app/sb/send_payment", std::move(body));
+      return node::JsonPostRequest("/app/sb/send_payment", std::move(body));
     }
     case 3: {
       json::Object body;
       body["account"] = a;
       body["amount"] = amount;
-      return SbPost("/app/sb/write_check", std::move(body));
+      return node::JsonPostRequest("/app/sb/write_check", std::move(body));
     }
     case 4: {
       json::Object body;
       body["from"] = a;
       body["to"] = b;
-      return SbPost("/app/sb/amalgamate", std::move(body));
+      return node::JsonPostRequest("/app/sb/amalgamate", std::move(body));
     }
-    default: {
-      http::Request r;
-      r.method = "GET";
-      r.path = "/app/sb/balance?account=" + std::to_string(a);
-      return r;
-    }
+    default:
+      return node::GetRequest("/app/sb/balance?account=" + std::to_string(a));
   }
 }
 
@@ -112,7 +99,8 @@ SbOutcome RunSmallBankChaos(uint64_t seed, uint64_t exec_threads) {
   setup["to"] = static_cast<int64_t>(kAccounts);
   setup["savings"] = 100;
   setup["checking"] = 100;
-  auto created = c->Call(SbPost("/app/sb/create_accounts", std::move(setup)));
+  auto created = c->Call(
+      node::JsonPostRequest("/app/sb/create_accounts", std::move(setup)));
   if (!created.ok() || created->status != 200) {
     out.failure = "account setup failed";
     return out;

@@ -25,10 +25,7 @@ struct ChaosResult {
 
 uint64_t ChaosWrite(node::Client* client, int64_t id,
                     const std::string& msg) {
-  json::Object body;
-  body["id"] = id;
-  body["msg"] = msg;
-  auto resp = client->PostJson("/app/log", json::Value(std::move(body)));
+  auto resp = client->PostJson("/app/log", LogBody(id, msg));
   if (!resp.ok() || resp->status != 200) return 0;
   auto txid = node::Client::TxIdOf(*resp);
   return txid.has_value() ? txid->second : 0;
