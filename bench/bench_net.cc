@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,21 +63,35 @@ double Percentile(std::vector<uint64_t>* lat, double p) {
   return static_cast<double>((*lat)[idx]);
 }
 
+// Why a reply ended a connection's run: its HTTP status with the error
+// envelope's code and message, or the client's own error (for example the
+// connection closing).
+std::string FailureReason(const Result<http::Response>& resp) {
+  if (!resp.ok()) return resp.status().ToString();
+  std::string reason = "HTTP " + std::to_string(resp->status);
+  auto body = json::Parse(ToString(resp->body));
+  const json::Value* error = body.ok() ? body->Get("error") : nullptr;
+  if (error != nullptr && error->is_object()) {
+    reason += " " + error->GetString("code") + ": " +
+              error->GetString("message");
+  }
+  return reason;
+}
+
 // One closed-loop connection: `pipeline` requests always in flight.
-void RunConnection(const crypto::PublicKeyBytes& identity, TestUser* user,
-                   uint16_t port, int conn_idx, uint64_t pipeline,
-                   uint64_t duration_ms, std::vector<uint64_t>* latencies,
-                   std::atomic<uint64_t>* completed,
-                   std::atomic<bool>* failed) {
-  host::LiveClient client("bench-c" + std::to_string(conn_idx), identity,
-                          &user->key, user->cert);
-  if (!client.Connect("127.0.0.1", port, 5000).ok()) {
-    failed->store(true);
-    return;
+// Returns the first failure it sees; any non-200 reply is one.
+Status RunConnection(const crypto::PublicKeyBytes& identity, TestUser* user,
+                     uint16_t port, int conn_idx, uint64_t pipeline,
+                     uint64_t duration_ms, std::vector<uint64_t>* latencies,
+                     std::atomic<uint64_t>* completed) {
+  const std::string name = "bench-c" + std::to_string(conn_idx);
+  host::LiveClient client(name, identity, &user->key, user->cert);
+  if (Status s = client.Connect("127.0.0.1", port, 5000); !s.ok()) {
+    return Status::Unavailable(name + " connect: " + s.ToString());
   }
   const uint64_t key = 1000 + static_cast<uint64_t>(conn_idx);
   uint64_t seq = 0;
-  bool dead = false;
+  std::optional<std::string> failure;
 
   // Self-replacing request: the completion callback issues the successor,
   // keeping the pipeline depth constant without a scheduler.
@@ -92,8 +107,9 @@ void RunConnection(const crypto::PublicKeyBytes& identity, TestUser* user,
     uint64_t sent_us = NowUs();
     client.SendRequest(std::move(req), [&, sent_us](
                                            Result<http::Response> resp) {
+      if (failure.has_value()) return;
       if (!resp.ok() || resp->status != 200) {
-        dead = true;
+        failure = FailureReason(resp);
         return;
       }
       latencies->push_back(NowUs() - sent_us);
@@ -104,12 +120,20 @@ void RunConnection(const crypto::PublicKeyBytes& identity, TestUser* user,
   for (uint64_t i = 0; i < pipeline; ++i) issue();
 
   uint64_t deadline = host::SteadyNowMs() + duration_ms;
-  while (host::SteadyNowMs() < deadline && !dead) {
+  while (host::SteadyNowMs() < deadline && !failure.has_value()) {
     if (!client.PollOnce(5)) break;
   }
-  if (dead || !client.connected()) failed->store(true);
-  // Drain callbacks that would otherwise fire into destroyed state.
+  if (!failure.has_value() && !client.connected()) {
+    failure = "connection closed";
+  }
+  Status outcome = failure.has_value()
+                       ? Status::Unavailable(name + ": " + *failure)
+                       : Status::Ok();
+  // Drain callbacks that would otherwise fire into destroyed state; the
+  // failures this reports are the run's end, not a reason.
+  failure = "closed by the bench";
   client.Close();
+  return outcome;
 }
 
 Result<NetRow> Measure(LiveServiceHarness* h, TestUser* user,
@@ -120,20 +144,22 @@ Result<NetRow> Measure(LiveServiceHarness* h, TestUser* user,
   const uint16_t port = h->host("n0")->rpc_port();
 
   std::vector<std::vector<uint64_t>> lat(connections);
+  std::vector<Status> outcome(connections);
   std::atomic<uint64_t> completed{0};
-  std::atomic<bool> failed{false};
   std::vector<std::thread> threads;
   threads.reserve(connections);
   uint64_t t0 = NowUs();
   for (uint64_t c = 0; c < connections; ++c) {
     threads.emplace_back([&, c] {
-      RunConnection(identity, user, port, static_cast<int>(c), pipeline,
-                    duration_ms, &lat[c], &completed, &failed);
+      outcome[c] = RunConnection(identity, user, port, static_cast<int>(c),
+                                 pipeline, duration_ms, &lat[c], &completed);
     });
   }
   for (auto& t : threads) t.join();
   uint64_t elapsed_us = NowUs() - t0;
-  if (failed.load()) return Status::Unavailable("bench connection died");
+  for (const Status& s : outcome) {
+    if (!s.ok()) return s;
+  }
   if (completed.load() == 0) return Status::Unavailable("no completions");
 
   std::vector<uint64_t> all;

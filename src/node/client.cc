@@ -170,7 +170,11 @@ Client::Client(std::string client_id, sim::Environment* env,
   env_->Register(
       this->client_id(),
       [this](const std::string& from, ByteSpan data) {
-        if (from == node_id_) OnSessionRecord(data);
+        // A response that said `connection: close` ends the session, as
+        // host::LiveClient closes its socket: later requests fail at once.
+        if (from == node_id_ && !OnSessionRecord(data)) {
+          CloseSession(Status::Unavailable("connection closed"));
+        }
       },
       [](uint64_t) {});
 }

@@ -84,20 +84,6 @@ struct NodeConfig {
   // composition, commit order, and every response byte depend only on the
   // message schedule, never on exec_threads.
   size_t exec_threads = 0;
-  // Bounded OCC retries: a transaction that keeps losing read-set
-  // validation is re-executed serially at most this many times before the
-  // request fails with 409.
-  size_t exec_max_retries = 4;
-  // Exec-batch flush policy (DESIGN.md §12/§13). With both at 0 (default)
-  // the batch is flushed unconditionally at the end of every inbox drain —
-  // the historical behaviour, bit-identical for the deterministic chaos
-  // suites. When either threshold is set, a batch survives inbox drains
-  // until it reaches exec_batch_max requests or its first request has
-  // waited exec_batch_deadline_ms milliseconds (a deadline of 0 with a
-  // size threshold set means "at most one tick"), letting batches form
-  // across the bursty arrival pattern of live sockets.
-  size_t exec_batch_max = 0;
-  uint64_t exec_batch_deadline_ms = 0;
   // Per-connection cap on pipelined requests awaiting a response. A client
   // exceeding it gets 503 + connection close (after all earlier responses
   // on the connection). 0 = unlimited; the default is far above anything

@@ -158,9 +158,6 @@ void Node::BindNodeMetrics() {
   exec_metrics_.retries = metrics_.GetCounter("exec.retries");
   exec_metrics_.aborts = metrics_.GetCounter("exec.aborts");
   exec_metrics_.batch_size = metrics_.GetHistogram("exec.batch_size");
-  exec_metrics_.flush_drain = metrics_.GetCounter("exec.flush.drain");
-  exec_metrics_.flush_size = metrics_.GetCounter("exec.flush.size");
-  exec_metrics_.flush_deadline = metrics_.GetCounter("exec.flush.deadline");
 }
 
 Node::CryptoOpCounters Node::crypto_ops() const {
@@ -455,35 +452,8 @@ void Node::DrainEnclaveInbox() {
     if (!data.ok()) continue;
     EnclaveProcess(*from, *data);
   }
-  // Flush-policy decision point: with the thresholds disabled the batch
-  // must never outlive the inbox drain that accumulated it (bit-identical
-  // sim replay); with a size/deadline policy it may ride across drains.
-  MaybeFlushExecBatch();
-}
-
-void Node::MaybeFlushExecBatch() {
-  if (exec_batch_.empty()) return;
-  const bool deferred =
-      config_.exec_batch_max > 0 || config_.exec_batch_deadline_ms > 0;
-  if (!deferred) {
-    exec_metrics_.flush_drain->Inc();
-    FlushExecBatch();
-    return;
-  }
-  if (config_.exec_batch_max > 0 &&
-      exec_batch_.size() >= config_.exec_batch_max) {
-    exec_metrics_.flush_size->Inc();
-    FlushExecBatch();
-    return;
-  }
-  // A size-only policy still flushes a partial batch after one tick so a
-  // lull in arrivals cannot strand requests.
-  const uint64_t deadline =
-      std::max<uint64_t>(config_.exec_batch_deadline_ms, 1);
-  if (now_ms_ >= exec_batch_opened_ms_ + deadline) {
-    exec_metrics_.flush_deadline->Inc();
-    FlushExecBatch();
-  }
+  // A batch never outlives the inbox drain that accumulated it.
+  FlushExecBatch();
 }
 
 void Node::EnclaveProcess(const std::string& from, ByteSpan data) {
@@ -862,9 +832,10 @@ void Node::HandleChannelMessage(const std::string& peer, ByteSpan payload) {
   uint8_t channel_type = (*inner)[0];
   ByteSpan body(inner->data() + 1, inner->size() - 1);
 
-  // Channel traffic can commit, roll back, or execute forwarded requests;
-  // batched requests must see the store head they were enqueued against.
-  FlushExecBatch();
+  // Channel traffic other than a forwarded request can commit or roll
+  // back; the open batch commits first. A forwarded request enters the
+  // same pipeline as a local one (Admit), so it may join the batch.
+  if (channel_type != kForwardRequest) FlushExecBatch();
 
   switch (channel_type) {
     case kConsensus: {
@@ -895,19 +866,23 @@ void Node::HandleChannelMessage(const std::string& peer, ByteSpan payload) {
       auto req = parser.Next();
       if (!req.ok() || !req->has_value()) return;
 
-      // Re-authenticate the forwarded caller against our own state.
-      http::Response response;
+      // Re-authenticate the forwarded caller against our own state, then
+      // resolve and schema-check once, as DispatchRequest does locally.
+      ReplyTarget to{peer, *corr};
       auto caller = Authenticate(cert);
       if (!caller.ok()) {
-        response.status = 401;
-        response.body = ToBytes(caller.status().ToString());
-      } else {
-        response = ExecuteRequest(**req, *caller);
+        AnswerNow(to, rpc::ErrorResponse(401, "Unauthorized",
+                                         caller.status().ToString()));
+        break;
       }
-      BufWriter w;
-      w.U64(*corr);
-      w.Blob(response.Serialize());
-      SendOnChannel(peer, kForwardResponse, w.data());
+      ResolvedEndpoint re = ResolveEndpoint((*req)->method, (*req)->path);
+      if (auto rejected = CheckRequestSchemaFor(re, **req);
+          rejected.has_value()) {
+        AnswerNow(to, *rejected);
+        break;
+      }
+      Admit(ExecBatchItem{std::move(to), std::move(**req), *caller,
+                          std::move(re)});
       break;
     }
     case kForwardResponse: {
@@ -1166,6 +1141,16 @@ void Node::OnCommit(uint64_t seqno) {
 void Node::OnRoleChange(consensus::Role role, uint64_t view) {
   LOG_INFO << config_.node_id << " is now " << consensus::RoleName(role)
            << " in view " << view;
+  // Forwards in flight went to the primary of an earlier view, which may
+  // never answer: fail them now so their clients can retry (paper §4.3).
+  // Whether such a request still commits is not known here.
+  std::map<uint64_t, std::string> orphaned;
+  orphaned.swap(pending_forwards_);
+  for (const auto& [corr, session_peer] : orphaned) {
+    RespondToSession(session_peer,
+                     rpc::ErrorResponse(503, "ServiceUnavailable",
+                                        "primary changed, retry"));
+  }
   if (role == consensus::Role::kPrimary) {
     if (recovery_pending_ && store_.current_seqno() > 0) {
       // First primary moment of a recovery node: declare the recovered

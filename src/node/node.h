@@ -291,11 +291,20 @@ class Node : public consensus::RaftCallbacks {
   ResolvedEndpoint ResolveEndpoint(const std::string& method,
                                    const std::string& target);
 
-  // One entry of the pending optimistic-execution batch (DESIGN.md §12),
-  // accumulated by DispatchRequest while draining the enclave inbox and
-  // flushed before anything that could commit, forward, or respond.
+  // Where a response goes: a client session on this node, or, with
+  // forward_corr set, the backup that forwarded the request (`peer` is
+  // then its node id and the answer travels over the node channel).
+  struct ReplyTarget {
+    std::string peer;
+    std::optional<uint64_t> forward_corr;
+  };
+
+  // One request in the pipeline (DESIGN.md §12), local or forwarded:
+  // resolved and schema-checked once, then executed on a tx and committed
+  // by CommitItem. exec_parallel items wait in exec_batch_ until the next
+  // flush.
   struct ExecBatchItem {
-    std::string session_peer;
+    ReplyTarget reply_to;
     http::Request request;
     rpc::CallerIdentity caller;
     ResolvedEndpoint re;
@@ -305,20 +314,17 @@ class Node : public consensus::RaftCallbacks {
                        const http::Request& request);
   void RespondToSession(const std::string& session_peer,
                         const http::Response& response);
+  void Reply(const ReplyTarget& to, const http::Response& response);
+  // Flushes the open batch, then replies: responses on a connection (and
+  // forwarded responses of one backup session) leave in arrival order.
+  void AnswerNow(const ReplyTarget& to, const http::Response& response);
   // Drops the session and, in live mode, asks the host to close the
   // underlying connection (tee::kCloseSession).
   void CloseUserSession(const std::string& session_peer);
-  // Timed wrapper: runs ExecuteRequestInner and records per-endpoint
-  // request/status/latency metrics.
-  http::Response ExecuteRequest(const http::Request& request,
-                                const rpc::CallerIdentity& caller);
-  http::Response ExecuteRequestInner(const http::Request& request,
-                                     const rpc::CallerIdentity& caller);
-  // Methods (native or scripted) that could serve `path`, excluding
-  // `method` itself: non-empty distinguishes 405 from 404 and feeds the
-  // Allow: header.
-  std::vector<std::string> AllowedMethodsForPath(const std::string& method,
-                                                 const std::string& path);
+  // 405 with an Allow: header when other methods (native or scripted)
+  // serve `path`, else 404.
+  http::Response NoEndpointResponse(const std::string& method,
+                                    const std::string& path);
   // Validates the request body against the resolved endpoint's declared
   // request schema (DESIGN.md §14). Returns the structured 400 response
   // on violation; nullopt when valid or no schema is declared. Runs
@@ -336,22 +342,24 @@ class Node : public consensus::RaftCallbacks {
                                      const http::Request& request,
                                      const rpc::CallerIdentity& caller,
                                      kv::Tx* tx);
-  // Serial commit point for one batched item: validate/commit its
-  // phase-A transaction, re-executing serially with bounded retries on
-  // conflict (paper §6.4: logic may run multiple times, its transaction
-  // is applied exactly once).
-  http::Response CommitBatchedItem(const ExecBatchItem& item, kv::Tx* tx,
-                                   http::Response resp);
+  // The one admission rule for a request that executes on this node: a
+  // path with no endpoint is answered 404/405; an exec_parallel item joins
+  // exec_batch_; any other item flushes the batch and runs inline on the
+  // tick thread (framework, governance and banking handlers touch node
+  // state and must not run on the exec pool).
+  void Admit(ExecBatchItem item);
+  // The one serial commit step, for batched and inline items alike:
+  // validate/commit the item's transaction, re-executing serially up to
+  // kExecMaxRetries times on conflict (paper §6.4: logic may run several
+  // times, its transaction is applied exactly once), stamp the tx id,
+  // record the rpc.* and exec.* metrics (`handler_us` is the first
+  // execution's handler time) and reply.
+  void CommitItem(const ExecBatchItem& item, kv::Tx* tx, http::Response resp,
+                  uint64_t handler_us);
   // Executes the pending batch: every item gets a transaction off the
-  // same store head, handlers run on exec_pool_, then a serial commit
-  // point validates and responds in submission order.
+  // same store head, handlers run on exec_pool_, then CommitItem runs for
+  // each in submission order.
   void FlushExecBatch();
-  // Flush-policy decision point at the end of every inbox drain: with the
-  // thresholds disabled (default) flushes unconditionally (the historical
-  // behaviour); otherwise flushes only once the batch reaches
-  // exec_batch_max items or its oldest item has aged past
-  // exec_batch_deadline_ms.
-  void MaybeFlushExecBatch();
   Result<rpc::CallerIdentity> Authenticate(
       const std::optional<crypto::Certificate>& session_cert);
   Status CheckAuthPolicy(rpc::AuthPolicy policy,
@@ -516,6 +524,7 @@ class Node : public consensus::RaftCallbacks {
   std::map<std::string, crypto::PublicKeyBytes> known_node_keys_;
 
   // Forwarded requests awaiting a primary response: correlation -> session.
+  // OnRoleChange answers whatever is left 503.
   uint64_t next_correlation_ = 1;
   std::map<uint64_t, std::string> pending_forwards_;
 
@@ -621,19 +630,13 @@ class Node : public consensus::RaftCallbacks {
     observe::Counter* retries = nullptr;
     observe::Counter* aborts = nullptr;
     observe::Histogram* batch_size = nullptr;
-    // Flush-policy trigger counters (exec.flush.*): inbox-drain (policy
-    // disabled), size threshold, deadline expiry.
-    observe::Counter* flush_drain = nullptr;
-    observe::Counter* flush_size = nullptr;
-    observe::Counter* flush_deadline = nullptr;
   };
   ExecMetrics exec_metrics_;
 
-  // Pending optimistic-execution batch (DESIGN.md §12).
+  // Pending optimistic-execution batch (DESIGN.md §12), flushed at the
+  // end of every inbox drain and before anything that could commit or
+  // answer out of order.
   std::vector<ExecBatchItem> exec_batch_;
-  // now_ms_ when the oldest item of the current batch was enqueued
-  // (deadline flush policy; meaningless while the batch is empty).
-  uint64_t exec_batch_opened_ms_ = 0;
 
   // Snapshot catch-up offers already sent: peer -> offered bundle seqno
   // (re-offered only once a newer bundle exists).

@@ -219,31 +219,29 @@ void Node::DispatchRequest(const std::string& session_peer,
     return;
   }
 
+  const ReplyTarget to{session_peer, std::nullopt};
   auto caller = Authenticate(session.stls->peer_cert());
   if (!caller.ok()) {
-    // Flush first so responses stay ordered per connection.
-    FlushExecBatch();
-    RespondToSession(session_peer,
-                     rpc::ErrorResponse(401, "Unauthorized",
-                                        caller.status().ToString()));
+    AnswerNow(to, rpc::ErrorResponse(401, "Unauthorized",
+                                     caller.status().ToString()));
     return;
   }
 
   // One classification for native and scripted endpoints: read-only
-  // endpoints are served by any node (paper §4.3); writes go to the
-  // primary. Session consistency: once forwarded, always forwarded.
+  // endpoints are served by any node (paper §4.3); writes, and paths this
+  // node does not know, go to the primary. Session consistency: once
+  // forwarded, always forwarded.
   ResolvedEndpoint re = ResolveEndpoint(request.method, request.path);
 
   // Declared request schemas are enforced at the door (DESIGN.md §14):
   // a violating body is rejected with a structured 400 before the request
   // is batched, forwarded, or allowed to open a KV transaction. Schemas
   // are public (served at /app/api), so validating before auth leaks
-  // nothing. Forwarded requests are re-checked on the primary.
+  // nothing. Forwarded requests are checked again on the primary, which
+  // resolves them against its own state.
   if (auto rejected = CheckRequestSchemaFor(re, request);
       rejected.has_value()) {
-    // Flush first so earlier pipelined responses keep their order.
-    FlushExecBatch();
-    RespondToSession(session_peer, *rejected);
+    AnswerNow(to, *rejected);
     return;
   }
 
@@ -257,28 +255,23 @@ void Node::DispatchRequest(const std::string& session_peer,
     }
     return;
   }
-  if (re.found && re.exec_parallel) {
-    // Batched optimistic execution (DESIGN.md §12). Eligibility must not
-    // depend on exec_threads: every setting takes the batch path, and the
-    // batch path itself is scheduling-independent (the pool's synchronous
-    // mode runs jobs inline in the same order a blocking drain retires
-    // them), so exec_threads 0 and N produce bit-identical runs.
-    if (exec_batch_.empty()) exec_batch_opened_ms_ = now_ms_;
-    exec_batch_.push_back(
-        ExecBatchItem{session_peer, request, *caller, std::move(re)});
-    // The size threshold fires as soon as it is met -- even mid-drain --
-    // so memory stays bounded and batches form at exactly exec_batch_max
-    // under sustained load (a no-op with the policy disabled).
-    if (config_.exec_batch_max > 0 &&
-        exec_batch_.size() >= config_.exec_batch_max) {
-      exec_metrics_.flush_size->Inc();
-      FlushExecBatch();
-    }
+  Admit(ExecBatchItem{to, request, *caller, std::move(re)});
+}
+
+void Node::Reply(const ReplyTarget& to, const http::Response& response) {
+  if (!to.forward_corr.has_value()) {
+    RespondToSession(to.peer, response);
     return;
   }
+  BufWriter w;
+  w.U64(*to.forward_corr);
+  w.Blob(response.Serialize());
+  SendOnChannel(to.peer, kForwardResponse, w.data());
+}
+
+void Node::AnswerNow(const ReplyTarget& to, const http::Response& response) {
   FlushExecBatch();
-  http::Response response = ExecuteRequest(request, *caller);
-  RespondToSession(session_peer, response);
+  Reply(to, response);
 }
 
 void Node::ForwardToPrimary(const std::string& session_peer,
@@ -301,19 +294,6 @@ void Node::ForwardToPrimary(const std::string& session_peer,
   }
   w.Blob(request.Serialize());
   SendOnChannel(*leader, kForwardRequest, w.data());
-}
-
-http::Response Node::ExecuteRequest(const http::Request& request,
-                                    const rpc::CallerIdentity& caller) {
-  auto t0 = std::chrono::steady_clock::now();
-  http::Response response = ExecuteRequestInner(request, caller);
-  auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-  rpc::RecordEndpointMetrics(&metrics_, request.method,
-                             http::ParseTarget(request.path).path,
-                             response.status, static_cast<uint64_t>(us));
-  return response;
 }
 
 Node::ResolvedEndpoint Node::ResolveEndpoint(const std::string& method,
@@ -346,12 +326,8 @@ Node::ResolvedEndpoint Node::ResolveEndpoint(const std::string& method,
   return re;
 }
 
-// Methods other than `method` that could serve `path` -- native registry
-// entries plus scripted endpoints from the store. Non-empty means the
-// request should fail 405 (method mismatch) rather than 404 (no such
-// path), with the list joined into the Allow: header.
-std::vector<std::string> Node::AllowedMethodsForPath(
-    const std::string& method, const std::string& path) {
+http::Response Node::NoEndpointResponse(const std::string& method,
+                                        const std::string& path) {
   std::vector<std::string> allowed = registry_.MethodsForPath(path);
   // Scripted endpoints are keyed "METHOD path" in the store; probe the
   // verbs the framework routes rather than scanning the whole table.
@@ -366,7 +342,19 @@ std::vector<std::string> Node::AllowedMethodsForPath(
   allowed.erase(std::unique(allowed.begin(), allowed.end()), allowed.end());
   allowed.erase(std::remove(allowed.begin(), allowed.end(), method),
                 allowed.end());
-  return allowed;
+  if (allowed.empty()) {
+    return rpc::ErrorResponse(404, "ResourceNotFound", "no such endpoint");
+  }
+  std::string joined;
+  for (const std::string& m : allowed) {
+    if (!joined.empty()) joined += ", ";
+    joined += m;
+  }
+  http::Response error = rpc::ErrorResponse(
+      405, "MethodNotAllowed",
+      method + " is not supported here; Allow: " + joined);
+  error.headers["allow"] = joined;
+  return error;
 }
 
 std::optional<http::Response> Node::CheckRequestSchemaFor(
@@ -380,80 +368,6 @@ std::optional<http::Response> Node::CheckRequestSchemaFor(
       request.body.empty() ? Result<json::Value>(json::Value(json::Object{}))
                            : json::Parse(ToString(request.body));
   return rpc::CheckRequestSchema(*re.spec, body);
-}
-
-http::Response Node::ExecuteRequestInner(const http::Request& request,
-                                         const rpc::CallerIdentity& caller) {
-  http::Response error;
-  ResolvedEndpoint re = ResolveEndpoint(request.method, request.path);
-  if (!re.found) {
-    std::vector<std::string> allowed =
-        AllowedMethodsForPath(request.method, re.path);
-    if (!allowed.empty()) {
-      std::string joined;
-      for (const std::string& m : allowed) {
-        if (!joined.empty()) joined += ", ";
-        joined += m;
-      }
-      error = rpc::ErrorResponse(405, "MethodNotAllowed",
-                                 request.method + " is not supported here; "
-                                 "Allow: " + joined);
-      error.headers["allow"] = joined;
-      return error;
-    }
-    return rpc::ErrorResponse(404, "ResourceNotFound", "no such endpoint");
-  }
-
-  // Forwarded requests reach this node without passing the entry node's
-  // dispatch-time schema gate in this process; re-check before any
-  // transaction is opened.
-  if (auto rejected = CheckRequestSchemaFor(re, request);
-      rejected.has_value()) {
-    return *rejected;
-  }
-
-  // Optimistic execution with re-execution on conflict (paper §6.4).
-  const size_t attempts = config_.exec_max_retries + 1;
-  for (size_t attempt = 0; attempt < attempts; ++attempt) {
-    kv::Tx tx = store_.BeginTx();
-    http::Response resp = ExecuteOnTx(re, request, caller, &tx);
-    if (resp.status >= 400) {
-      return resp;  // failed requests leave no trace in the ledger
-    }
-    auto stamp_uncommitted = [&](http::Response* r) {
-      r->headers[http::kTxIdHeader] =
-          consensus::TxId{ViewAtSeqno(store_.current_seqno()),
-                          store_.current_seqno()}
-              .ToString();
-    };
-    if (re.read_only) {
-      if (!re.is_scripted && tx.has_writes()) {
-        return rpc::ErrorResponse(500, "InternalError",
-                                  "read-only endpoint wrote");
-      }
-      stamp_uncommitted(&resp);
-      return resp;
-    }
-    if (re.is_scripted && !tx.has_writes()) {
-      stamp_uncommitted(&resp);
-      return resp;
-    }
-    ledger::EntryType entry_type =
-        !re.is_scripted && re.path.rfind("/gov/", 0) == 0
-            ? ledger::EntryType::kGovernance
-            : ledger::EntryType::kUser;
-    auto committed = CommitAndReplicate(&tx, entry_type);
-    if (!committed.ok()) {
-      if (committed.status().code() == Status::Code::kAborted) {
-        continue;  // conflict: re-execute
-      }
-      return rpc::ErrorResponse(503, "ServiceUnavailable",
-                                committed.status().message());
-    }
-    resp.headers[http::kTxIdHeader] = committed->ToString();
-    return resp;
-  }
-  return rpc::ErrorResponse(409, "Conflict", "transaction conflict");
 }
 
 http::Response Node::ExecuteOnTx(const ResolvedEndpoint& re,
@@ -560,12 +474,48 @@ http::Response Node::ExecuteScriptedOnTx(const json::Value& spec,
   }
   resp.status = status;
   resp.body = ToBytes(body);
-  // Commit/abort handling and TxId stamping happen at the caller's serial
-  // commit point (ExecuteRequestInner or CommitBatchedItem).
+  // Commit/abort handling and TxId stamping happen in CommitItem.
   return resp;
 }
 
-// ------------------------------------------------------ batched execution
+// ------------------------------------------------------ request pipeline
+
+namespace {
+
+// A transaction that keeps losing read-set validation is re-executed
+// serially at most this many times before the request fails with 409.
+constexpr uint64_t kExecMaxRetries = 4;
+
+uint64_t MicrosSince(std::chrono::steady_clock::time_point t0) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
+}  // namespace
+
+void Node::Admit(ExecBatchItem item) {
+  if (item.re.exec_parallel) {
+    // Batched optimistic execution (DESIGN.md §12). Eligibility must not
+    // depend on exec_threads: every setting takes the batch path, and the
+    // batch path itself is scheduling-independent (the pool's synchronous
+    // mode runs jobs inline in the same order a blocking drain retires
+    // them), so exec_threads 0 and N produce bit-identical runs.
+    exec_batch_.push_back(std::move(item));
+    return;
+  }
+  if (!item.re.found) {
+    AnswerNow(item.reply_to,
+              NoEndpointResponse(item.request.method, item.re.path));
+    return;
+  }
+  FlushExecBatch();
+  kv::Tx tx = store_.BeginTx();
+  auto t0 = std::chrono::steady_clock::now();
+  http::Response resp = ExecuteOnTx(item.re, item.request, item.caller, &tx);
+  CommitItem(item, &tx, std::move(resp), MicrosSince(t0));
+}
 
 void Node::FlushExecBatch() {
   if (exec_batch_.empty()) return;
@@ -574,114 +524,106 @@ void Node::FlushExecBatch() {
   exec_metrics_.requests->Inc(n);
   exec_metrics_.batch_size->Record(static_cast<uint64_t>(n));
 
-  // Phase A: every item opens a transaction off the same store head *at
-  // flush time* (with a deferred flush policy, commits -- signatures,
-  // other traffic -- may land between enqueue and flush; OCC validation
-  // covers them like any other predecessor), then all handlers execute
-  // on the exec pool against that shared immutable snapshot (paper §3.4).
-  // Each job touches only its own slot, so the results are independent of
-  // worker scheduling; with exec_threads == 0 the pool runs the jobs
-  // inline in submission order, which is exactly the order a blocking
-  // drain retires them -- the two modes are bit-identical.
+  // Phase A: every item opens a transaction off the same store head, then
+  // all handlers execute on the exec pool against that shared immutable
+  // snapshot (paper §3.4). Each job touches only its own slot, so the
+  // results are independent of worker scheduling; with exec_threads == 0
+  // the pool runs the jobs inline in submission order, which is exactly
+  // the order a blocking drain retires them -- the two modes are
+  // bit-identical.
   std::vector<kv::Tx> txs;
   txs.reserve(n);
   for (size_t i = 0; i < n; ++i) txs.push_back(store_.BeginTx());
   std::vector<http::Response> responses(n);
-  std::vector<uint64_t> wall_us(n, 0);
+  std::vector<uint64_t> handler_us(n, 0);
   std::vector<tee::WorkerPool::Job> jobs;
   jobs.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    jobs.push_back([this, i, &txs, &responses, &wall_us] {
+    jobs.push_back([this, i, &txs, &responses, &handler_us] {
       const ExecBatchItem& item = exec_batch_[i];
       auto t0 = std::chrono::steady_clock::now();
       responses[i] = ExecuteOnTx(item.re, item.request, item.caller, &txs[i]);
-      wall_us[i] = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
+      handler_us[i] = MicrosSince(t0);
     });
   }
   exec_pool_.SubmitBatch(std::move(jobs));
   exec_pool_.Drain(/*wait_all=*/true);
 
-  // Phase B: single serial commit point, in submission order. Writers
+  // Phase B: the serial commit step, in submission order. Writers
   // validate against whatever committed before them (including earlier
-  // members of this batch) and re-execute serially on conflict.
+  // members of this batch).
   for (size_t i = 0; i < n; ++i) {
-    const ExecBatchItem& item = exec_batch_[i];
-    http::Response out =
-        CommitBatchedItem(item, &txs[i], std::move(responses[i]));
-    rpc::RecordEndpointMetrics(&metrics_, item.request.method, item.re.path,
-                               out.status, wall_us[i]);
-    RespondToSession(item.session_peer, out);
+    CommitItem(exec_batch_[i], &txs[i], std::move(responses[i]),
+               handler_us[i]);
   }
   exec_batch_.clear();
 }
 
-http::Response Node::CommitBatchedItem(const ExecBatchItem& item, kv::Tx* tx,
-                                       http::Response resp) {
-  if (resp.status >= 400) {
-    return resp;  // failed requests leave no trace in the ledger
-  }
-  auto stamp_uncommitted = [&](http::Response* r) {
-    r->headers[http::kTxIdHeader] =
+void Node::CommitItem(const ExecBatchItem& item, kv::Tx* tx,
+                      http::Response resp, uint64_t handler_us) {
+  const ResolvedEndpoint& re = item.re;
+  auto stamp_uncommitted = [&] {
+    resp.headers[http::kTxIdHeader] =
         consensus::TxId{ViewAtSeqno(store_.current_seqno()),
                         store_.current_seqno()}
             .ToString();
   };
-  if (item.re.read_only) {
+  if (resp.status >= 400) {
+    // Failed requests leave no trace in the ledger.
+  } else if (re.read_only) {
     // No validation needed: the handler saw one immutable committed
     // snapshot and wrote nothing, so it serializes at its snapshot.
-    if (!item.re.is_scripted && tx->has_writes()) {
-      return rpc::ErrorResponse(500, "InternalError",
+    if (!re.is_scripted && tx->has_writes()) {
+      resp = rpc::ErrorResponse(500, "InternalError",
                                 "read-only endpoint wrote");
+    } else {
+      stamp_uncommitted();
     }
-    stamp_uncommitted(&resp);
-    return resp;
+  } else {
+    ledger::EntryType entry_type =
+        !re.is_scripted && re.path.rfind("/gov/", 0) == 0
+            ? ledger::EntryType::kGovernance
+            : ledger::EntryType::kUser;
+    uint64_t reexecs = 0;
+    std::optional<kv::Tx> retry_tx;
+    kv::Tx* cur = tx;
+    for (;;) {
+      if (re.is_scripted && !cur->has_writes()) {
+        stamp_uncommitted();
+        break;
+      }
+      auto committed = CommitAndReplicate(cur, entry_type);
+      if (committed.ok()) {
+        resp.headers[http::kTxIdHeader] = committed->ToString();
+        break;
+      }
+      if (committed.status().code() != Status::Code::kAborted) {
+        resp = rpc::ErrorResponse(503, "ServiceUnavailable",
+                                  committed.status().message());
+        break;
+      }
+      if (reexecs == 0) exec_metrics_.conflicts->Inc();
+      if (reexecs >= kExecMaxRetries) {
+        exec_metrics_.aborts->Inc();
+        resp = rpc::ErrorResponse(409, "Conflict", "transaction conflict");
+        break;
+      }
+      ++reexecs;
+      exec_metrics_.retries->Inc();
+      // Serial re-execution against the latest committed head (paper
+      // §6.4: business logic may run several times, its transaction is
+      // applied exactly once).
+      retry_tx.emplace(store_.BeginTx());
+      cur = &*retry_tx;
+      resp = ExecuteOnTx(re, item.request, item.caller, cur);
+      if (resp.status >= 400) break;
+    }
+    metrics_.GetHistogram("exec.reexecs." + item.request.method + " " + re.path)
+        ->Record(reexecs);
   }
-
-  ledger::EntryType entry_type =
-      !item.re.is_scripted && item.re.path.rfind("/gov/", 0) == 0
-          ? ledger::EntryType::kGovernance
-          : ledger::EntryType::kUser;
-  uint64_t reexecs = 0;
-  std::optional<kv::Tx> retry_tx;
-  kv::Tx* cur = tx;
-  for (;;) {
-    if (item.re.is_scripted && !cur->has_writes()) {
-      stamp_uncommitted(&resp);
-      break;
-    }
-    auto committed = CommitAndReplicate(cur, entry_type);
-    if (committed.ok()) {
-      resp.headers[http::kTxIdHeader] = committed->ToString();
-      break;
-    }
-    if (committed.status().code() != Status::Code::kAborted) {
-      resp = rpc::ErrorResponse(503, "ServiceUnavailable",
-                                committed.status().message());
-      break;
-    }
-    if (reexecs == 0) exec_metrics_.conflicts->Inc();
-    if (reexecs >= config_.exec_max_retries) {
-      exec_metrics_.aborts->Inc();
-      resp = rpc::ErrorResponse(409, "Conflict", "transaction conflict");
-      break;
-    }
-    ++reexecs;
-    exec_metrics_.retries->Inc();
-    // Serial re-execution against the latest committed head (paper §6.4:
-    // business logic may run several times, its transaction is applied
-    // exactly once).
-    retry_tx.emplace(store_.BeginTx());
-    cur = &*retry_tx;
-    resp = ExecuteOnTx(item.re, item.request, item.caller, cur);
-    if (resp.status >= 400) break;
-  }
-  metrics_
-      .GetHistogram("exec.reexecs." + item.request.method + " " + item.re.path)
-      ->Record(reexecs);
-  return resp;
+  rpc::RecordEndpointMetrics(&metrics_, item.request.method, re.path,
+                             resp.status, handler_us);
+  Reply(item.reply_to, resp);
 }
 
 // --------------------------------------------------- framework endpoints

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 namespace ccf::script {
 
@@ -10,20 +11,49 @@ Interpreter::Interpreter(InterpOptions options)
   InstallBuiltins();
 }
 
-Interpreter::~Interpreter() {
-  for (const std::weak_ptr<Environment>& scope : captured_) {
-    if (auto env = scope.lock()) env->Clear();
+Interpreter::~Interpreter() { cycle_roots_->Clear(); }
+
+void CycleRoots::NoteStore(const Value& container, const Value& v) {
+  if (!v.is_array() && !v.is_object()) return;
+  if (container.is_array()) {
+    Note(container.AsArray().get(), container.AsArray());
+  } else if (container.is_object()) {
+    Note(container.AsObject().get(), container.AsObject());
   }
 }
 
-void Interpreter::NoteCaptured(const std::shared_ptr<Environment>& env) {
-  if (captured_.size() >= prune_captured_at_) {
-    std::erase_if(captured_, [](const std::weak_ptr<Environment>& scope) {
-      return scope.expired();
+void CycleRoots::Note(const void* ptr, Root root) {
+  if (ptr == last_) return;
+  last_ = ptr;
+  if (roots_.size() >= prune_at_) {
+    std::erase_if(roots_, [](const Root& r) {
+      return std::visit([](const auto& w) { return w.expired(); }, r);
     });
-    prune_captured_at_ = std::max<size_t>(64, 2 * captured_.size());
+    prune_at_ = std::max<size_t>(64, 2 * roots_.size());
   }
-  captured_.push_back(env);
+  roots_.push_back(std::move(root));
+}
+
+void CycleRoots::Clear() {
+  // Each container's contents are moved out before they are dropped, so
+  // a destructor that frees another root finds it expired, not half-torn.
+  for (const Root& root : roots_) {
+    std::visit(
+        [](const auto& weak) {
+          auto held = weak.lock();
+          if (held == nullptr) return;
+          if constexpr (std::is_same_v<decltype(held),
+                                       std::shared_ptr<Environment>>) {
+            held->Clear();
+          } else {
+            std::remove_reference_t<decltype(*held)> contents;
+            contents.swap(*held);
+          }
+        },
+        root);
+  }
+  roots_.clear();
+  last_ = nullptr;
 }
 
 void Interpreter::SetGlobal(const std::string& name, Value v) {
@@ -128,7 +158,7 @@ Result<Interpreter::Flow> Interpreter::ExecStmt(
       const auto* s = static_cast<const FunctionStmt*>(stmt);
       Closure closure{&s->decl, env, programs_.empty() ? nullptr
                                                        : programs_.back()};
-      NoteCaptured(env);
+      cycle_roots_->NoteScope(env);
       env->Define(s->decl.name, Value(std::move(closure)));
       return Flow{};
     }
@@ -334,7 +364,7 @@ Result<Value> Interpreter::EvalExpr(const Expr* expr,
       const auto* e = static_cast<const FunctionExpr*>(expr);
       Closure closure{&e->decl, env,
                       programs_.empty() ? nullptr : programs_.back()};
-      NoteCaptured(env);
+      cycle_roots_->NoteScope(env);
       return Value(std::move(closure));
     }
   }
@@ -446,6 +476,7 @@ Result<Value> Interpreter::EvalAssign(const AssignExpr* e,
     auto it = obj.find(t->name);
     Value old = it != obj.end() ? it->second : Value();
     ASSIGN_OR_RETURN(Value next, apply_op(old));
+    cycle_roots_->NoteStore(object, next);
     obj[t->name] = next;
     return next;
   }
@@ -461,6 +492,7 @@ Result<Value> Interpreter::EvalAssign(const AssignExpr* e,
       auto it = obj.find(index.AsString());
       Value old = it != obj.end() ? it->second : Value();
       ASSIGN_OR_RETURN(Value next, apply_op(old));
+      cycle_roots_->NoteStore(object, next);
       obj[index.AsString()] = next;
       return next;
     }
@@ -475,6 +507,7 @@ Result<Value> Interpreter::EvalAssign(const AssignExpr* e,
       }
       if (i == static_cast<int64_t>(arr.size())) arr.emplace_back();
       ASSIGN_OR_RETURN(Value next, apply_op(arr[i]));
+      cycle_roots_->NoteStore(object, next);
       arr[i] = next;
       return next;
     }
@@ -494,10 +527,16 @@ Result<Value> Interpreter::MemberGet(const Value& object,
     auto arr = object.AsArray();
     if (name == "length") return Value(arr->size());
     if (name == "push") {
-      return Value(NativeFn([arr](std::vector<Value>& args) -> Result<Value> {
-        for (Value& v : args) arr->push_back(std::move(v));
-        return Value(arr->size());
-      }));
+      std::weak_ptr<CycleRoots> roots = cycle_roots_;
+      return Value(
+          NativeFn([arr, roots](std::vector<Value>& args) -> Result<Value> {
+            auto live_roots = roots.lock();
+            for (Value& v : args) {
+              if (live_roots != nullptr) live_roots->NoteStore(Value(arr), v);
+              arr->push_back(std::move(v));
+            }
+            return Value(arr->size());
+          }));
     }
     if (name == "pop") {
       return Value(NativeFn([arr](std::vector<Value>&) -> Result<Value> {

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/status.h"
@@ -49,6 +50,32 @@ class Environment {
   std::shared_ptr<Environment> parent_;
 };
 
+// The values that can sit on a shared_ptr cycle: scopes captured by
+// closures (a closure stored in the scope it captured), and arrays and
+// objects that were given an array or object (`a.push(a)`, `o.self = o`).
+// Held weakly; Clear empties whatever is still alive, which breaks every
+// such cycle. Expired entries are pruned whenever the list doubles, so it
+// stays within about twice the live entries.
+class CycleRoots {
+ public:
+  using Root = std::variant<std::weak_ptr<Environment>, std::weak_ptr<Array>,
+                            std::weak_ptr<Object>>;
+
+  void NoteScope(const std::shared_ptr<Environment>& env) {
+    Note(env.get(), env);
+  }
+  // Notes `container` (an array or object) when `v` is an array or object.
+  void NoteStore(const Value& container, const Value& v);
+  void Clear();
+
+ private:
+  void Note(const void* ptr, Root root);
+
+  std::vector<Root> roots_;
+  const void* last_ = nullptr;  // skips repeats, e.g. pushes in a loop
+  size_t prune_at_ = 64;
+};
+
 struct InterpOptions {
   size_t max_steps = 2'000'000;
   size_t max_call_depth = 200;
@@ -57,9 +84,11 @@ struct InterpOptions {
 class Interpreter {
  public:
   explicit Interpreter(InterpOptions options = {});
-  // Clears every scope a closure captured (Environment::Clear), so the
-  // closure/scope cycles and the programs they keep alive are freed.
-  // Closures that escaped stay safe to hold but see empty scopes.
+  // Clears every scope a closure captured (Environment::Clear) and empties
+  // every array and object that was given a container (CycleRoots), so
+  // reference cycles and the programs they keep alive are freed. Values
+  // that escaped stay safe to hold, but such scopes and containers are
+  // empty.
   ~Interpreter();
   Interpreter(const Interpreter&) = delete;
   Interpreter& operator=(const Interpreter&) = delete;
@@ -104,8 +133,6 @@ class Interpreter {
                             std::vector<Value>& args, int line);
 
   void InstallBuiltins();
-  // Records a scope a new closure captures (for ~Interpreter).
-  void NoteCaptured(const std::shared_ptr<Environment>& env);
 
   Status Err(int line, const std::string& msg) const {
     return Status::InvalidArgument("ccl:" + std::to_string(line) + ": " + msg);
@@ -114,10 +141,9 @@ class Interpreter {
   InterpOptions options_;
   std::shared_ptr<Environment> globals_;
   std::vector<std::shared_ptr<const Program>> programs_;  // keepalive
-  // Scopes captured by closures. Expired entries are pruned whenever the
-  // list doubles, so it stays within twice the live captured scopes.
-  std::vector<std::weak_ptr<Environment>> captured_;
-  size_t prune_captured_at_ = 64;
+  // Shared so that an array's push, a native value that may outlive this
+  // interpreter, can note into it only while the interpreter is alive.
+  std::shared_ptr<CycleRoots> cycle_roots_ = std::make_shared<CycleRoots>();
   size_t steps_ = 0;
   size_t depth_ = 0;
 };

@@ -1,12 +1,14 @@
-// Batched optimistic request execution (DESIGN.md §12): pipelined client
-// traffic forms multi-request batches that execute speculatively against a
-// shared store snapshot; a serial commit point validates read-sets in
-// submission order and re-executes losers. These tests drive the real
-// node/session/HTTP stack in the simulator and assert on behavior and the
-// exec.* metrics the path exports.
+// The request pipeline (DESIGN.md §12): pipelined client traffic forms
+// multi-request batches that execute speculatively against a shared store
+// snapshot; a serial commit point validates read-sets in submission order
+// and re-executes losers. Non-batchable and forwarded requests take the
+// same commit step. These tests drive the real node/session/HTTP stack in
+// the simulator and assert on behavior and the exec.* metrics the path
+// exports.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -209,6 +211,150 @@ TEST(NodeExecTest, ExecThreadsDoNotChangeResponses) {
   ASSERT_EQ(inline_run.statuses.size(), 20u);
   EXPECT_EQ(inline_run.statuses, pooled_run.statuses);
   EXPECT_EQ(inline_run.bodies, pooled_run.bodies);
+}
+
+// ------------------------------------------------- one request pipeline
+
+// A backup that serves no application endpoints: every /app/ request it
+// gets is forwarded (a path it does not know may be a write), so whatever
+// comes back was decided by the primary.
+class NoEndpointsApp : public node::Application {
+ public:
+  void RegisterEndpoints(rpc::EndpointRegistry*,
+                         const node::NodeContext&) override {}
+};
+
+// n0 (primary, logging app) and n1 (backup, NoEndpointsApp); alice is a
+// registered user.
+struct ForwardingService {
+  ServiceHarness h;
+  NoEndpointsApp backup_app;
+  bool ok = false;
+
+  ForwardingService() {
+    h.AddUser("alice");
+    ok = h.StartGenesis() != nullptr &&
+         h.JoinAndTrust("n1", 8000, &backup_app) != nullptr;
+  }
+};
+
+// A native non-batchable write (a governance proposal), a batched /app/log
+// write and a write forwarded from a backup all come back stamped with a
+// "view.seqno" tx id, and each id reads back Committed from GET /node/tx.
+TEST(NodeExecTest, EveryPathStampsACommittedTxId) {
+  ForwardingService svc;
+  ASSERT_TRUE(svc.ok);
+  ServiceHarness& h = svc.h;
+
+  json::Object action{{"name", "add_node_code"},
+                      {"args", json::Object{{"code_id", "pipeline-test"}}}};
+  json::Object proposal{
+      {"actions", json::Array{json::Value(std::move(action))}}};
+  auto governance = h.MemberClient(0)->PostJsonSigned(
+      "/gov/propose", json::Object{{"proposal", std::move(proposal)}});
+  auto batched =
+      h.UserClient("alice", "n0")->PostJson("/app/log", LogBody(1, "local"));
+  auto forwarded = h.UserClient("alice", "n1")->PostJson(
+      "/app/log", LogBody(2, "forwarded"));
+
+  std::vector<std::pair<uint64_t, uint64_t>> ids;
+  for (const auto* resp : {&governance, &batched, &forwarded}) {
+    ASSERT_TRUE(resp->ok()) << resp->status().ToString();
+    ASSERT_EQ((*resp)->status, 200) << ToString((*resp)->body);
+    auto id = node::Client::TxIdOf(**resp);
+    ASSERT_TRUE(id.has_value());
+    EXPECT_EQ((*resp)->GetHeader(http::kTxIdHeader),
+              std::to_string(id->first) + "." + std::to_string(id->second));
+    ids.push_back(*id);
+  }
+  uint64_t last = 0;
+  for (const auto& id : ids) last = std::max(last, id.second);
+  ASSERT_TRUE(h.WaitForCommitEverywhere(last));
+
+  node::Client* reader = h.UserClient("alice", "n0");
+  for (const auto& [view, seqno] : ids) {
+    auto status = reader->Get("/node/tx?view=" + std::to_string(view) +
+                              "&seqno=" + std::to_string(seqno));
+    ASSERT_TRUE(status.ok());
+    auto body = json::Parse(ToString(status->body));
+    ASSERT_TRUE(body.ok());
+    EXPECT_EQ(body->GetString("status"), "Committed")
+        << view << "." << seqno;
+  }
+}
+
+// An unknown path and a known path with the wrong method get the same 404
+// and 405 answers from the primary directly and through the backup (which
+// knows neither, so only the primary can have said 405).
+TEST(NodeExecTest, NoEndpointAnswersMatchLocallyAndForwarded) {
+  ForwardingService svc;
+  ASSERT_TRUE(svc.ok);
+  node::Client* local = svc.h.UserClient("alice", "n0");
+  node::Client* via_backup = svc.h.UserClient("alice", "n1");
+
+  struct Case {
+    http::Request request;
+    int status;
+    std::string allow;
+  };
+  http::Request wrong_method = node::GetRequest("/app/log?id=1");
+  wrong_method.method = "DELETE";
+  std::vector<Case> cases;
+  cases.push_back({node::GetRequest("/app/no_such_path"), 404, ""});
+  cases.push_back({wrong_method, 405, "GET, POST"});
+  for (const Case& c : cases) {
+    auto direct = local->Call(c.request);
+    auto forwarded = via_backup->Call(c.request);
+    ASSERT_TRUE(direct.ok());
+    ASSERT_TRUE(forwarded.ok());
+    EXPECT_EQ(direct->status, c.status);
+    EXPECT_EQ(direct->GetHeader("allow"), c.allow);
+    EXPECT_EQ(forwarded->status, direct->status);
+    EXPECT_EQ(forwarded->GetHeader("allow"), direct->GetHeader("allow"));
+    EXPECT_EQ(ToString(forwarded->body), ToString(direct->body));
+  }
+}
+
+// The backup has no schema for /app/log, so a violating body reaches the
+// primary, which rejects it with the same structured 400 it gives locally.
+TEST(NodeExecTest, ForwardedSchemaViolationGetsPrimary400) {
+  ForwardingService svc;
+  ASSERT_TRUE(svc.ok);
+  json::Object bad{{"id", "not-a-number"}};
+  http::Request request = node::JsonPostRequest("/app/log", bad);
+  auto direct = svc.h.UserClient("alice", "n0")->Call(request);
+  auto forwarded = svc.h.UserClient("alice", "n1")->Call(request);
+  ASSERT_TRUE(direct.ok());
+  ASSERT_TRUE(forwarded.ok());
+  EXPECT_EQ(direct->status, 400);
+  EXPECT_EQ(forwarded->status, 400);
+  EXPECT_EQ(ToString(forwarded->body), ToString(direct->body));
+  auto body = json::Parse(ToString(forwarded->body));
+  ASSERT_TRUE(body.ok());
+  const json::Value* error = body->Get("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_FALSE(error->GetString("code").empty());
+  EXPECT_FALSE(error->GetString("message").empty());
+}
+
+// A caller whose certificate the service does not know is re-authenticated
+// on the primary and refused with the standard error envelope.
+TEST(NodeExecTest, ForwardedUnknownCertificateGets401Envelope) {
+  ForwardingService svc;
+  ASSERT_TRUE(svc.ok);
+  svc.h.AddUser("mallory");  // after genesis: never registered
+  auto resp = svc.h.UserClient("mallory", "n1")->PostJson(
+      "/app/log", LogBody(3, "intruder"));
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->status, 401);
+  auto body = json::Parse(ToString(resp->body));
+  ASSERT_TRUE(body.ok()) << ToString(resp->body);
+  const json::Value* error = body->Get("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->GetString("code"), "Unauthorized");
+  EXPECT_FALSE(error->GetString("message").empty());
+  EXPECT_FALSE(
+      svc.h.node("n0")->store().GetStr("private:app.messages", "3").has_value());
 }
 
 }  // namespace

@@ -30,10 +30,12 @@ TEST(HttpHardening, ConnectionCloseHeaderHonoured) {
   // The response announces the close.
   EXPECT_EQ(resp->GetHeader("connection"), "close");
 
-  // The server-side session is gone: further requests on it get no
-  // response.
+  // The client dropped the session with the announced close: a further
+  // request on it fails at once instead of waiting out its timeout.
+  const uint64_t before_ms = h.env().now_ms();
   auto after = alice->Get("/app/log?id=1", 500);
   EXPECT_FALSE(after.ok());
+  EXPECT_LT(h.env().now_ms() - before_ms, 1u);
 
   // A fresh session works (and sees the committed write).
   alice->Connect("n0");
@@ -86,8 +88,10 @@ TEST(HttpHardening, ParseErrorGets400AndClose) {
   EXPECT_EQ(resp->GetHeader("connection"), "close");
 
   // The session is dead: a valid request after the parse error gets
-  // nothing back.
+  // nothing back, and fails at once.
+  const uint64_t before_ms = h.env().now_ms();
   EXPECT_FALSE(client->Get("/app/log?id=1", 500).ok());
+  EXPECT_LT(h.env().now_ms() - before_ms, 1u);
   EXPECT_EQ(client->responses_received(), 1u);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/hex.h"
 #include "merkle/receipt.h"
 #include "tests/service_harness.h"
@@ -206,6 +208,41 @@ TEST(MultiNodeService, ReadsServedByBackupWritesForwarded) {
   ASSERT_TRUE(write2.ok()) << write2.status().ToString();
   EXPECT_EQ(write2->status, 200);
   EXPECT_TRUE(node::Client::TxIdOf(*write2).has_value());
+}
+
+// A write forwarded by a backup whose primary is then cut off must not
+// wait out the client's timeout: the backup answers 503 at its next role
+// or view change, which comes within about one election timeout.
+TEST(MultiNodeService, ForwardedWriteFailsFastWhenPrimaryIsLost) {
+  ServiceHarness h;
+  h.AddUser("user0");
+  h.StartGenesis();
+  ASSERT_NE(h.JoinAndTrust("n1"), nullptr);
+  ASSERT_NE(h.JoinAndTrust("n2"), nullptr);
+  ASSERT_EQ(h.Primary(), h.node("n0"));
+
+  node::Client* client = h.UserClient("user0", "n1");
+  ASSERT_TRUE(client->Get("/app/log?id=1").ok());  // session established
+
+  std::optional<Result<http::Response>> answer;
+  client->SendRequest(node::JsonPostRequest("/app/log", LogBody(5, "lost")),
+                      [&](Result<http::Response> r) { answer = std::move(r); });
+  h.env().Isolate("n0", true);  // n0 never sees the forward
+  const uint64_t sent_ms = h.env().now_ms();
+  const uint64_t client_timeout_ms = 5000;
+  h.env().RunUntil([&] { return answer.has_value(); }, client_timeout_ms);
+
+  ASSERT_TRUE(answer.has_value()) << "no answer within the client timeout";
+  ASSERT_TRUE(answer->ok()) << answer->status().ToString();
+  EXPECT_EQ((*answer)->status, 503);
+  auto body = json::Parse(ToString((*answer)->body));
+  ASSERT_TRUE(body.ok());
+  const json::Value* error = body->Get("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->GetString("code"), "ServiceUnavailable");
+  const uint64_t election_timeout_max_ms =
+      FastNodeConfig("n1").raft.election_timeout_max_ms;
+  EXPECT_LE(h.env().now_ms() - sent_ms, 2 * election_timeout_max_ms);
 }
 
 TEST(MultiNodeService, FailoverContinuesService) {

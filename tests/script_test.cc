@@ -373,6 +373,33 @@ TEST(CclLifetime, DestroyedInterpreterFreesCapturedCallScopes) {
   for (const auto& scope : scopes) EXPECT_TRUE(scope.expired());
 }
 
+TEST(CclLifetime, DestroyedInterpreterFreesSelfContainingValues) {
+  // Each value contains itself: a shared_ptr cycle that no scope clearing
+  // reaches.
+  std::vector<std::weak_ptr<Array>> arrays;
+  std::vector<std::weak_ptr<Object>> objects;
+  {
+    auto prog = Compile(R"(
+      let a = []; a.push(a);
+      let b = [0]; b[0] = b;
+      let o = {}; o.self = o;
+      let p = {}; p['me'] = p;
+      let q = {}; let r = [q]; q.list = r;
+    )");
+    ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+    Interpreter interp;
+    ASSERT_TRUE(interp.Run(*prog).ok());
+    for (const char* name : {"a", "b", "r"}) {
+      arrays.push_back(interp.GetGlobal(name)->AsArray());
+    }
+    for (const char* name : {"o", "p", "q"}) {
+      objects.push_back(interp.GetGlobal(name)->AsObject());
+    }
+  }
+  for (const auto& array : arrays) EXPECT_TRUE(array.expired());
+  for (const auto& object : objects) EXPECT_TRUE(object.expired());
+}
+
 TEST(CclComments, BothStylesIgnored) {
   EXPECT_EQ(EvalNum(R"(
     // line comment
