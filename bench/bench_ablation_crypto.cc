@@ -1,7 +1,8 @@
 // Ablation: costs of the cryptographic building blocks on the hot path —
 // explains where the per-request and per-signature time in Figures 7/8
 // goes (GCM per session record and channel message; SHA-256 per Merkle
-// leaf; Schnorr sign per signature transaction).
+// leaf; Schnorr sign per signature transaction; Ed25519 key generation,
+// point decoding, verify and ECDH per handshake, join and vote).
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "crypto/ec25519.h"
 #include "crypto/gcm.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
@@ -82,6 +84,29 @@ void BM_SchnorrVerify(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SchnorrVerify);
+
+// Key generation: seed expansion, one fixed-base scalar multiplication and
+// the point encoding (node identities, ECIES ephemerals).
+void BM_KeyFromSeed(benchmark::State& state) {
+  crypto::Drbg drbg("bench-keygen", 0);
+  Bytes seed = drbg.Generate(32);
+  for (auto _ : state) {
+    seed[0]++;
+    benchmark::DoNotOptimize(crypto::KeyPair::FromSeed(seed));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KeyFromSeed);
+
+// Point decompression: every Verify decodes R and the public key.
+void BM_PointDecode(benchmark::State& state) {
+  crypto::KeyPair kp = crypto::KeyPair::FromSeed(ToBytes("bench"));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::ec::Decode(kp.public_key()));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PointDecode);
 
 void BM_EcdhSharedSecret(benchmark::State& state) {
   crypto::KeyPair a = crypto::KeyPair::FromSeed(ToBytes("a"));
@@ -235,10 +260,12 @@ bool SelfTest() {
 
 int main(int argc, char** argv) {
   if (!SelfTest()) return 1;
-  std::printf("dispatched kernels: sha256=%s aes-gcm=%s\n",
-              crypto::internal::KernelName(
-                  crypto::internal::BestSha256Kernel()),
-              crypto::internal::KernelName(crypto::internal::BestAesKernel()));
+  // On stderr, so that --benchmark_format=json leaves pure JSON on stdout.
+  std::fprintf(stderr, "dispatched kernels: sha256=%s aes-gcm=%s\n",
+               crypto::internal::KernelName(
+                   crypto::internal::BestSha256Kernel()),
+               crypto::internal::KernelName(
+                   crypto::internal::BestAesKernel()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

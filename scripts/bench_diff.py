@@ -5,9 +5,12 @@ Understands BENCH_signatures.json (bench_fig8_signatures),
 BENCH_historical.json (bench_historical), BENCH_observe.json
 (bench_observe), BENCH_snapshots.json (bench_snapshots),
 BENCH_exec.json (bench_table5_modes exec-worker sweep),
-BENCH_net.json (bench_net live closed-loop load) and
-BENCH_smallbank.json (bench_smallbank SmallBank sweep); the format is
-detected from the file contents.
+BENCH_net.json (bench_net live closed-loop load),
+BENCH_smallbank.json (bench_smallbank SmallBank sweep) and the JSON that
+google-benchmark binaries write with --benchmark_format=json or
+--benchmark_out=FILE (e.g. BENCH_crypto.json from bench_ablation_crypto:
+benchmarks matched by name, cpu_time compared, lower is better); the
+format is detected from the file contents.
 
 Usage:
     scripts/bench_diff.py OLD.json NEW.json [--threshold PCT]
@@ -23,6 +26,7 @@ Stdlib only.
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -45,6 +49,27 @@ def fmt_delta(old, new):
         return "   n/a"
     pct = 100.0 * (new - old) / old
     return f"{pct:+6.1f}%"
+
+
+def gbench_cpu_ns(doc):
+    """name -> cpu_time in ns from a google-benchmark JSON document. With
+    --benchmark_repetitions the median aggregate wins; repeated iteration
+    rows without one are reduced to their median."""
+    to_ns = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+    runs, medians = {}, {}
+    for b in doc.get("benchmarks", []):
+        if "cpu_time" not in b:
+            continue
+        name = b.get("run_name", b.get("name"))
+        t = b["cpu_time"] * to_ns.get(b.get("time_unit", "ns"), 1.0)
+        if b.get("run_type") == "aggregate":
+            if b.get("aggregate_name") == "median":
+                medians[name] = t
+            continue
+        runs.setdefault(name, []).append(t)
+    out = {name: statistics.median(ts) for name, ts in runs.items()}
+    out.update(medians)
+    return out
 
 
 def key_of(row):
@@ -82,6 +107,24 @@ def main():
     if old.get("smoke") != new.get("smoke"):
         print("WARNING: comparing a smoke run against a full run; "
               "deltas are not meaningful as absolutes")
+
+    # google-benchmark JSON (bench_ablation_* with --benchmark_format=json):
+    # rows matched by benchmark name, cpu_time per iteration.
+    if "benchmarks" in old or "benchmarks" in new:
+        print(f"{'cpu time per iteration (ns; lower is better)':<46} "
+              f"{'old':>12} {'new':>12}")
+        old_t, new_t = gbench_cpu_ns(old), gbench_cpu_ns(new)
+        for name in list(new_t) + [n for n in old_t if n not in new_t]:
+            check(name, old_t.get(name), new_t.get(name),
+                  lower_is_better=True)
+        if regressions:
+            print(f"\n{len(regressions)} metric(s) regressed beyond "
+                  f"{args.threshold:.0f}%:")
+            for r in regressions:
+                print(f"  - {r}")
+            return 1
+        print("\nno regressions beyond threshold")
+        return 0
 
     # BENCH_historical.json (bench_historical): flat sections of scalars.
     if "cold" in old or "cold" in new:

@@ -2,14 +2,24 @@
 //
 // Field elements are mod p = 2^255 - 19 with 51-bit limbs; points use
 // extended twisted-Edwards coordinates (a = -1). All curve constants that
-// admit it (d, sqrt(-1), the base point) are *derived* at start-up from
-// their defining equations rather than transcribed, and validated by unit
-// tests (group laws, order of the base point).
+// admit it (d, sqrt(-1), the base point and the base point's precomputed
+// multiples) are *derived* at start-up from their defining equations
+// rather than transcribed, and validated by unit tests (group laws, order
+// of the base point, RFC 8032 vectors).
 //
 // This module underlies Schnorr signatures (sign.h), ECDH channel keys, and
-// ECIES recovery-share encryption. The implementation favours clarity and
-// testability over speed and is not constant-time; a production deployment
-// would swap in a hardened implementation behind the same interface.
+// ECIES recovery-share encryption. The kernels follow Bernstein et al.,
+// "High-speed high-security signatures" (CHES 2011): dedicated squaring,
+// addition-chain inversion and square root, fixed-width scalar reduction,
+// a fixed-base comb for B and a double-scalar multiplication for verify.
+//
+// Timing. Paths that take a secret scalar are constant-time: no branch or
+// table index depends on the scalar (ScalarReduce, ScalarMulAdd,
+// ScalarMultBase, ScalarMult, FeInvert, Encode). That covers key
+// generation, the signing nonce, the ECIES ephemeral and ECDH. Verification
+// handles public inputs only and is variable-time: Decode, FeSqrt,
+// MultiScalarMult, MultiScalarMultWithBase, PointEqual and the Fe
+// predicates branch on their inputs.
 
 #ifndef CCF_CRYPTO_EC25519_H_
 #define CCF_CRYPTO_EC25519_H_
@@ -56,8 +66,7 @@ inline constexpr size_t kScalarSize = 32;
 // canonical 32-byte little-endian.
 using Scalar = std::array<uint8_t, kScalarSize>;
 
-// Reduces an arbitrary-length big-endian-agnostic (little-endian) byte
-// string mod l.
+// Reduces an arbitrary-length little-endian byte string mod l.
 Scalar ScalarReduce(ByteSpan bytes_le);
 // (a * b + c) mod l.
 Scalar ScalarMulAdd(const Scalar& a, const Scalar& b, const Scalar& c);
@@ -76,12 +85,22 @@ const Point& BasePoint();
 Point Add(const Point& p, const Point& q);
 Point Double(const Point& p);
 Point Negate(const Point& p);
+// s*P for any 32-byte s (bit 255 included), constant-time in s: signed
+// 4-bit fixed windows with a masked scan of the 8-entry table.
 Point ScalarMult(const Scalar& s, const Point& p);
+// s*B for any 32-byte s, constant-time in s: signed radix-16 comb over a
+// table of (1..8) * 256^i * B built once at start-up.
 Point ScalarMultBase(const Scalar& s);
-// sum_i scalars[i] * points[i] via Straus' interleaved windowed method
-// (4-bit windows, one shared doubling chain). Far cheaper than summing
-// individual ScalarMult results once there are a few points; this is the
-// engine behind crypto::VerifyBatch. Requires equal-length inputs.
+// base_scalar*B + sum_i scalars[i] * points[i] via Straus' interleaved
+// method: one shared doubling chain, width-5 signed sliding windows (wNAF)
+// for each point and width-8 windows over a fixed table of odd multiples
+// of B. Variable-time: public inputs only. This is the engine behind
+// crypto::Verify (one point) and crypto::VerifyBatch. Requires
+// equal-length inputs.
+Point MultiScalarMultWithBase(const Scalar& base_scalar,
+                              std::span<const Scalar> scalars,
+                              std::span<const Point> points);
+// MultiScalarMultWithBase with a zero base scalar.
 Point MultiScalarMult(std::span<const Scalar> scalars,
                       std::span<const Point> points);
 bool PointEqual(const Point& p, const Point& q);

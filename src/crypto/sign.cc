@@ -75,10 +75,13 @@ bool Verify(ByteSpan pub, ByteSpan msg, ByteSpan sig) {
 
   ec::Scalar k = HashToScalar(sig.subspan(0, 32), pub, msg);
 
-  // Check s*B == R + k*A.
-  ec::Point lhs = ec::ScalarMultBase(s);
-  ec::Point rhs = ec::Add(r_result.value(), ec::ScalarMult(k, a_result.value()));
-  return ec::PointEqual(lhs, rhs);
+  // Check s*B == R + k*A as s*B - k*A == R: one double-scalar
+  // multiplication, compared projectively with the decoded R.
+  const ec::Point neg_a = ec::Negate(a_result.value());
+  ec::Point sb_minus_ka =
+      ec::MultiScalarMultWithBase(s, std::span<const ec::Scalar>(&k, 1),
+                                  std::span<const ec::Point>(&neg_a, 1));
+  return ec::PointEqual(sb_minus_ka, r_result.value());
 }
 
 bool VerifyBatch(std::span<const BatchVerifyItem> items, Drbg* drbg,
@@ -129,15 +132,13 @@ bool VerifyBatch(std::span<const BatchVerifyItem> items, Drbg* drbg,
 
   // Combined equation with fresh random 128-bit combiners:
   //   S*B + sum z_i*(-R_i) + sum (z_i*k_i)*(-A_i) == identity,
-  // where S = sum z_i*s_i mod l.
+  // where S = sum z_i*s_i mod l; the S*B term uses the fixed base table.
   const ec::Scalar kZero{};
   std::vector<ec::Scalar> scalars;
   std::vector<ec::Point> points;
-  scalars.reserve(2 * valid.size() + 1);
-  points.reserve(2 * valid.size() + 1);
+  scalars.reserve(2 * valid.size());
+  points.reserve(2 * valid.size());
   ec::Scalar sum_zs = kZero;
-  scalars.push_back(kZero);  // placeholder for S
-  points.push_back(ec::BasePoint());
   for (const Decoded& d : valid) {
     Bytes zb = drbg->Generate(16);
     ec::Scalar z{};
@@ -149,9 +150,8 @@ bool VerifyBatch(std::span<const BatchVerifyItem> items, Drbg* drbg,
     scalars.push_back(ec::ScalarMulAdd(z, d.k, kZero));
     points.push_back(ec::Negate(d.a));
   }
-  scalars[0] = sum_zs;
 
-  if (ec::IsIdentity(ec::MultiScalarMult(scalars, points))) {
+  if (ec::IsIdentity(ec::MultiScalarMultWithBase(sum_zs, scalars, points))) {
     return all_ok;
   }
 

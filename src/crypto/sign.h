@@ -42,7 +42,7 @@ struct BatchVerifyItem {
 // `s_i*B == R_i + k_i*A_i` checks, draws random 128-bit combiner scalars
 // z_i from `drbg` and checks the single multi-scalar equation
 //   (sum z_i*s_i)*B + sum z_i*(-R_i) + sum (z_i*k_i)*(-A_i) == identity,
-// evaluated with ec::MultiScalarMult. A forgery passes with probability
+// evaluated with ec::MultiScalarMultWithBase. A forgery passes with probability
 // <= 2^-128 over the combiners. Pass a deterministically seeded DRBG in
 // simulation so replays draw identical combiners.
 //

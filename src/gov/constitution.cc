@@ -93,7 +93,9 @@ void BindKvNatives(Interpreter* interp, kv::Tx* tx, bool read_only) {
                     Value(NativeFn([](std::vector<Value>& args)
                                        -> Result<Value> {
                       std::string msg = "constitution failure";
-                      if (!args.empty()) msg = args[0].ToDisplayString();
+                      if (!args.empty()) {
+                        ASSIGN_OR_RETURN(msg, args[0].ToDisplayString());
+                      }
                       return Status::FailedPrecondition(msg);
                     })));
 }

@@ -385,7 +385,9 @@ Result<Value> Interpreter::EvalBinary(const BinaryExpr* e,
       return Value(lhs.AsNumber() + rhs.AsNumber());
     }
     if (lhs.is_string() || rhs.is_string()) {
-      return Value(lhs.ToDisplayString() + rhs.ToDisplayString());
+      ASSIGN_OR_RETURN(std::string l, lhs.ToDisplayString());
+      ASSIGN_OR_RETURN(std::string r, rhs.ToDisplayString());
+      return Value(l + r);
     }
     return Err(e->line, std::string("cannot add ") + lhs.TypeName() +
                             " and " + rhs.TypeName());
@@ -437,7 +439,9 @@ Result<Value> Interpreter::EvalAssign(const AssignExpr* e,
         return Value(old.AsNumber() + value.AsNumber());
       }
       if (old.is_string() || value.is_string()) {
-        return Value(old.ToDisplayString() + value.ToDisplayString());
+        ASSIGN_OR_RETURN(std::string l, old.ToDisplayString());
+        ASSIGN_OR_RETURN(std::string r, value.ToDisplayString());
+        return Value(l + r);
       }
       return Err(e->line, "invalid '+=' operands");
     }
@@ -563,7 +567,8 @@ Result<Value> Interpreter::MemberGet(const Value& object,
         std::string out;
         for (size_t i = 0; i < arr->size(); ++i) {
           if (i > 0) out += sep;
-          out += (*arr)[i].ToDisplayString();
+          ASSIGN_OR_RETURN(std::string item, (*arr)[i].ToDisplayString());
+          out += item;
         }
         return Value(std::move(out));
       }));
@@ -630,7 +635,10 @@ void Interpreter::InstallBuiltins() {
   });
   define("str", [](std::vector<Value>& args) -> Result<Value> {
     std::string out;
-    for (const Value& v : args) out += v.ToDisplayString();
+    for (const Value& v : args) {
+      ASSIGN_OR_RETURN(std::string item, v.ToDisplayString());
+      out += item;
+    }
     return Value(std::move(out));
   });
   define("num", [](std::vector<Value>& args) -> Result<Value> {

@@ -1,6 +1,8 @@
 #include "script/value.h"
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 namespace ccf::script {
 
@@ -14,36 +16,102 @@ bool Value::Truthy() const {
   }
 }
 
-bool Value::Equals(const Value& other) const {
-  if (type() != other.type()) return false;
-  switch (type()) {
-    case Type::kNull: return true;
-    case Type::kBool: return AsBool() == other.AsBool();
-    case Type::kNumber: return AsNumber() == other.AsNumber();
-    case Type::kString: return AsString() == other.AsString();
-    case Type::kArray: {
-      const auto& a = *AsArray();
-      const auto& b = *other.AsArray();
-      if (a.size() != b.size()) return false;
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (!a[i].Equals(b[i])) return false;
+namespace {
+
+// The identity of an array or object value: its shared storage.
+const void* ContainerId(const Value& v) {
+  if (v.is_array()) return v.AsArray().get();
+  return v.AsObject().get();
+}
+
+// Structural equality that ends on values containing themselves: an
+// identical container is equal at once, and a pair of containers already
+// being compared further up (`in_progress`) counts as equal.
+using ContainerPair = std::pair<const void*, const void*>;
+
+bool EqualsOnPath(const Value& a, const Value& b,
+                  std::vector<ContainerPair>* in_progress) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case Value::Type::kNull: return true;
+    case Value::Type::kBool: return a.AsBool() == b.AsBool();
+    case Value::Type::kNumber: return a.AsNumber() == b.AsNumber();
+    case Value::Type::kString: return a.AsString() == b.AsString();
+    case Value::Type::kArray:
+    case Value::Type::kObject: {
+      const ContainerPair pair(ContainerId(a), ContainerId(b));
+      if (pair.first == pair.second) return true;
+      for (const ContainerPair& p : *in_progress) {
+        if (p == pair) return true;
       }
-      return true;
-    }
-    case Type::kObject: {
-      const auto& a = *AsObject();
-      const auto& b = *other.AsObject();
-      if (a.size() != b.size()) return false;
-      for (const auto& [k, v] : a) {
-        auto it = b.find(k);
-        if (it == b.end() || !v.Equals(it->second)) return false;
+      in_progress->push_back(pair);
+      bool equal = true;
+      if (a.is_array()) {
+        const auto& x = *a.AsArray();
+        const auto& y = *b.AsArray();
+        equal = x.size() == y.size();
+        for (size_t i = 0; equal && i < x.size(); ++i) {
+          equal = EqualsOnPath(x[i], y[i], in_progress);
+        }
+      } else {
+        const auto& x = *a.AsObject();
+        const auto& y = *b.AsObject();
+        equal = x.size() == y.size();
+        for (auto it = x.begin(); equal && it != x.end(); ++it) {
+          auto found = y.find(it->first);
+          equal = found != y.end() &&
+                  EqualsOnPath(it->second, found->second, in_progress);
+        }
       }
-      return true;
+      in_progress->pop_back();
+      return equal;
     }
-    case Type::kClosure: return AsClosure() == other.AsClosure();
-    case Type::kNative: return false;
+    case Value::Type::kClosure: return a.AsClosure() == b.AsClosure();
+    case Value::Type::kNative: return false;
   }
   return false;
+}
+
+// JSON rendering that refuses a container already on the path from the
+// root (`path`), instead of recursing without bound; `*cyclic` tells that
+// failure apart from a function member.
+Result<json::Value> ToJsonOnPath(const Value& v,
+                                 std::vector<const void*>* path,
+                                 bool* cyclic) {
+  if (!v.is_array() && !v.is_object()) return v.ToJson();
+  const void* self = ContainerId(v);
+  for (const void* p : *path) {
+    if (p == self) {
+      *cyclic = true;
+      return Status::InvalidArgument("script: value contains itself");
+    }
+  }
+  path->push_back(self);
+  auto out = [&]() -> Result<json::Value> {
+    if (v.is_array()) {
+      json::Array arr;
+      for (const Value& e : *v.AsArray()) {
+        ASSIGN_OR_RETURN(json::Value j, ToJsonOnPath(e, path, cyclic));
+        arr.push_back(std::move(j));
+      }
+      return json::Value(std::move(arr));
+    }
+    json::Object obj;
+    for (const auto& [k, e] : *v.AsObject()) {
+      ASSIGN_OR_RETURN(json::Value j, ToJsonOnPath(e, path, cyclic));
+      obj[k] = std::move(j);
+    }
+    return json::Value(std::move(obj));
+  }();
+  path->pop_back();
+  return out;
+}
+
+}  // namespace
+
+bool Value::Equals(const Value& other) const {
+  std::vector<ContainerPair> in_progress;
+  return EqualsOnPath(*this, other, &in_progress);
 }
 
 const char* Value::TypeName() const {
@@ -60,10 +128,10 @@ const char* Value::TypeName() const {
   return "?";
 }
 
-std::string Value::ToDisplayString() const {
+Result<std::string> Value::ToDisplayString() const {
   switch (type()) {
-    case Type::kNull: return "null";
-    case Type::kBool: return AsBool() ? "true" : "false";
+    case Type::kNull: return std::string("null");
+    case Type::kBool: return std::string(AsBool() ? "true" : "false");
     case Type::kNumber: {
       double d = AsNumber();
       if (d == static_cast<int64_t>(d) && std::abs(d) < 1e15) {
@@ -74,13 +142,16 @@ std::string Value::ToDisplayString() const {
     case Type::kString: return AsString();
     case Type::kArray:
     case Type::kObject: {
-      auto j = ToJson();
+      std::vector<const void*> path;
+      bool cyclic = false;
+      auto j = ToJsonOnPath(*this, &path, &cyclic);
+      if (cyclic) return j.status();
       return j.ok() ? j->Dump() : std::string("<unrepresentable>");
     }
-    case Type::kClosure: return "<function>";
-    case Type::kNative: return "<native>";
+    case Type::kClosure: return std::string("<function>");
+    case Type::kNative: return std::string("<native>");
   }
-  return "?";
+  return std::string("?");
 }
 
 Result<json::Value> Value::ToJson() const {
@@ -95,21 +166,11 @@ Result<json::Value> Value::ToJson() const {
       return json::Value(d);
     }
     case Type::kString: return json::Value(AsString());
-    case Type::kArray: {
-      json::Array out;
-      for (const Value& v : *AsArray()) {
-        ASSIGN_OR_RETURN(json::Value j, v.ToJson());
-        out.push_back(std::move(j));
-      }
-      return json::Value(std::move(out));
-    }
+    case Type::kArray:
     case Type::kObject: {
-      json::Object out;
-      for (const auto& [k, v] : *AsObject()) {
-        ASSIGN_OR_RETURN(json::Value j, v.ToJson());
-        out[k] = std::move(j);
-      }
-      return json::Value(std::move(out));
+      std::vector<const void*> path;
+      bool cyclic = false;
+      return ToJsonOnPath(*this, &path, &cyclic);
     }
     default:
       return Status::InvalidArgument("script: function not JSON-representable");

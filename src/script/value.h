@@ -93,14 +93,18 @@ class Value {
 
   // JS-like truthiness.
   bool Truthy() const;
-  // Structural equality (functions compare by identity).
+  // Structural equality (functions compare by identity). Ends on values
+  // that contain themselves: containers already being compared further up
+  // count as equal.
   bool Equals(const Value& other) const;
-  // Human-readable rendering (used by str() and error messages).
-  std::string ToDisplayString() const;
+  // Human-readable rendering (used by str() and error messages). An array
+  // or object that contains itself is an error, not a rendering.
+  Result<std::string> ToDisplayString() const;
 
   const char* TypeName() const;
 
-  // JSON bridge (closures/natives are not representable and fail).
+  // JSON bridge (closures/natives are not representable and fail, and so
+  // does an array or object that contains itself).
   Result<json::Value> ToJson() const;
   static Value FromJson(const json::Value& j);
 

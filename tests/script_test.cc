@@ -27,7 +27,9 @@ std::string EvalStr(const std::string& src) {
   auto r = Eval(src);
   EXPECT_TRUE(r.ok()) << src << ": " << r.status().ToString();
   if (!r.ok()) return "<error>";
-  return r->ToDisplayString();
+  auto rendered = r->ToDisplayString();
+  EXPECT_TRUE(rendered.ok()) << src << ": " << rendered.status().ToString();
+  return rendered.ok() ? *rendered : "<error>";
 }
 
 TEST(CclBasics, Arithmetic) {
@@ -224,6 +226,48 @@ TEST(CclBuiltins, Misc) {
   EXPECT_EQ(EvalNum("min(2, 5) + max(2, 5);"), 7);
   EXPECT_EQ(EvalStr("typeof([]);"), "array");
   EXPECT_EQ(EvalNum("num('42') + 1;"), 43);
+}
+
+// Values that contain themselves, directly or through another container.
+const char* const kSelfContaining[] = {
+    "let a = []; a.push(a);",
+    "let a = {}; a.self = a;",
+    "let q = {}; let a = [q]; q.list = a;",
+};
+
+TEST(CclSelfContaining, RenderingIsAScriptError) {
+  for (const char* setup : kSelfContaining) {
+    for (const char* expr : {"str(a);", "json_stringify(a);", "'x' + a;"}) {
+      auto r = Eval(std::string(setup) + " " + expr);
+      ASSERT_FALSE(r.ok()) << setup << " " << expr;
+      EXPECT_NE(r.status().message().find("contains itself"),
+                std::string::npos)
+          << r.status().ToString();
+    }
+  }
+  auto joined = Eval("let a = [1]; a.push(a); a.join('-');");
+  EXPECT_FALSE(joined.ok());
+  // Sharing without a cycle still renders.
+  EXPECT_EQ(EvalStr("let x = [1]; let y = [x, x, {k: x}]; json_stringify(y);"),
+            "[[1],[1],{\"k\":[1]}]");
+}
+
+TEST(CclSelfContaining, EqualityEnds) {
+  for (const char* setup : kSelfContaining) {
+    EXPECT_EQ(EvalStr(std::string(setup) + " a == a;"), "true") << setup;
+    EXPECT_EQ(EvalStr(std::string(setup) + " a != a;"), "false") << setup;
+  }
+  // Distinct values of the same shape are equal; a pair already being
+  // compared counts as equal.
+  EXPECT_EQ(EvalStr("let a = []; a.push(a); let b = []; b.push(b); a == b;"),
+            "true");
+  EXPECT_EQ(EvalStr("let o = {}; o.me = o; let p = {}; p.me = p; o == p;"),
+            "true");
+  EXPECT_EQ(EvalStr("let a = [1]; a.push(a); let b = [2]; b.push(b); a == b;"),
+            "false");
+  EXPECT_EQ(EvalStr("let a = []; a.push(a); let b = []; b.push(b); "
+                    "[b].includes(a);"),
+            "true");
 }
 
 TEST(CclErrors, SyntaxErrorsReported) {
